@@ -49,12 +49,12 @@ def root_sum_is_zero(terms: dict[Fraction, int]) -> bool:
     Angles are rational turns.  Exact: reduces the coefficient vector
     modulo Phi_L for L the common denominator.
     """
-    terms = {a % 1: c for a, c in terms.items() if c}
+    terms = [(a % 1, c) for a, c in terms.items() if c]
     if not terms:
         return True
-    L = math.lcm(*(a.denominator for a in terms))
+    L = math.lcm(*(a.denominator for a, _ in terms))
     coeffs = [0] * L
-    for a, c in terms.items():
+    for a, c in terms:     # angles equal mod 1 add up here
         coeffs[int(a * L)] += c
     # reduce modulo Phi_L: remainder of the division
     phi = cyclotomic_poly(L)

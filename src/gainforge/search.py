@@ -7,13 +7,20 @@ distinct eigenvalues, so annealing it is a direct search for new
 examples.  Converged runs are polished by an alternating-projection
 refinement and, when the gains land on low-order roots of unity, snapped
 to an exact certified graph.
+
+Objectives are scored in stacks: an objective maps a ``(k, n, n)`` stack
+of Hermitian matrices to ``k`` values (the built-in ones also map a
+single ``(n, n)`` matrix to a float).  The annealer uses this to score a
+block of speculative Metropolis proposals with one batched eigensolve;
+the trajectory it follows is the plain one-proposal-at-a-time chain, bit
+for bit, whatever the block size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -21,32 +28,45 @@ from .errors import Disconnected, LengthMismatch
 from .gains import Gain, GainGraph, _bfs_tree, build, normalize_spanning_tree
 from .spectral import TwoEvCertificate, certify_two_ev
 
-Objective = Callable[[np.ndarray], float]
+Objective = Callable[[np.ndarray], Union[float, np.ndarray]]
 
 
 # -- objectives -----------------------------------------------------------------
 
-def objective_two_ev(A: np.ndarray) -> float:
+def objective_two_ev(A: np.ndarray) -> Union[float, np.ndarray]:
     """Frobenius norm of A^2 - (l1+ln)A + l1*ln*I, via the spectral form.
 
     For Hermitian A the matrix has eigenvalues (l - l1)(l - ln), so the
     norm is computable from the spectrum alone; zero iff at most two
-    distinct eigenvalues.
+    distinct eigenvalues.  A ``(k, n, n)`` stack gives ``(k,)`` values,
+    each equal to the single-matrix value.
     """
-    if A.shape[0] == 0:
-        return 0.0
     evs = np.linalg.eigvalsh(A)
-    lo, hi = evs[0], evs[-1]
-    return float(math.sqrt(np.sum(((evs - lo) * (evs - hi)) ** 2)))
+    q = evs - evs[..., :1]
+    q *= evs - evs[..., -1:]
+    q *= q
+    vals = np.sqrt(np.add.reduce(q, axis=-1))
+    return float(vals) if evs.ndim == 1 else vals
 
 
-def objective_cospectral(A: np.ndarray, target: np.ndarray) -> float:
-    """Sum of squared deviations between the sorted spectra."""
+def objective_cospectral(A: np.ndarray, target: np.ndarray) -> Union[float, np.ndarray]:
+    """Sum of squared deviations between the sorted spectra (stacks as above)."""
     evs = np.linalg.eigvalsh(A)
     target = np.sort(np.asarray(target, dtype=float))
-    if len(target) != len(evs):
-        raise LengthMismatch(f"target has {len(target)} values for order {len(evs)}")
-    return float(np.sum((evs - target) ** 2))
+    if len(target) != evs.shape[-1]:
+        raise LengthMismatch(f"target has {len(target)} values for order {evs.shape[-1]}")
+    vals = np.sum((evs - target) ** 2, axis=-1)
+    return float(vals) if evs.ndim == 1 else vals
+
+
+def _score(objective: Objective, stack: np.ndarray) -> list:
+    """The objective's values on a (k, n, n) stack, as k Python floats."""
+    vals = np.asarray(objective(stack), dtype=float)
+    if vals.shape != (len(stack),):
+        raise LengthMismatch(
+            f"objective returned shape {vals.shape} for a stack of {len(stack)} "
+            "matrices; it must map a (k, n, n) stack to k values")
+    return vals.tolist()
 
 
 # -- configuration and results ----------------------------------------------------
@@ -82,6 +102,9 @@ class SearchResult:
     snapped_cert: Optional[TwoEvCertificate] = None
     trace: list = field(default_factory=list)   # (temperature, best_f) rows
     seed: int = 0
+    evaluations: int = 0    # matrices the annealer scored, speculative ones included
+    steps: int = 0          # Metropolis steps taken
+    accepted: int = 0       # accepted moves
 
 
 # -- the annealer ----------------------------------------------------------------
@@ -102,48 +125,94 @@ def _graph_from_state(n: int, tree: list, free: list, angles: np.ndarray) -> Gai
     return build(n, edges)
 
 
+# Largest block of speculative proposals scored at once.  Any cap gives
+# the same trajectory; the cap bounds the work that a block cut short by
+# an early acceptance throws away.
+_MAX_BLOCK = 32
+_DRAW_CHUNK = 4096      # uniforms drawn per refill of a chain's buffer
+
+
 def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
                   objective: Objective, seed: int):
+    """One Metropolis chain; returns best_f, best_angles, trace and counters.
+
+    Proposals are scored in blocks.  Each proposal of a block starts from
+    the current state, as if every one before it were rejected; the block
+    is scanned in order and cut at the first acceptance, and the rest is
+    discarded with its random draws.  The draws come from one buffer read
+    in the order of the one-at-a-time chain (m step draws per proposal,
+    then an acceptance draw unless the proposal goes downhill), so the
+    trajectory is that chain's, bit for bit.  The block size doubles after
+    a block without an acceptance and halves after one with, is capped at
+    _MAX_BLOCK and never crosses a temperature.
+    """
     rng = np.random.default_rng(seed)
-    A = np.zeros((n, n), dtype=complex)
+    m = len(free)
+    S = np.zeros((_MAX_BLOCK, n, n), dtype=complex)
     for u, v in tree:
-        A[u, v] = A[v, u] = 1.0
-    fu = np.array([e[0] for e in free], dtype=int)
-    fv = np.array([e[1] for e in free], dtype=int)
+        S[:, u, v] = S[:, v, u] = 1.0
+    # flat positions of each block slot's free entries above and below the diagonal
+    flat = S.reshape(-1)
+    rows = n * n * np.arange(_MAX_BLOCK)[:, None]
+    upper = rows + np.array([u * n + v for u, v in free], dtype=int)
+    lower = rows + np.array([v * n + u for u, v in free], dtype=int)
 
-    def place(angles: np.ndarray) -> None:
-        z = np.exp(1j * angles)
-        A[fu, fv] = z
-        A[fv, fu] = z.conj()
-
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=len(free))
-    place(angles)
-    f = objective(A)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=m)
+    z = np.exp(1j * angles)
+    flat[upper[0]] = z
+    flat[lower[0]] = z.conj()
+    f = _score(objective, S[:1])[0]
     best_f, best_angles = f, angles.copy()
+    evaluations, steps, accepted = 1, 0, 0
     trace = []
     t = cfg.t0
     converged = f < cfg.epsilon
+    buf, pos, k = np.empty(0), 0, 1
     while not converged:
-        for _ in range(cfg.iters_per_temp):
-            step = math.pi * min(1.0, t)
-            proposal = angles + rng.uniform(-step, step, size=len(free))
-            place(proposal)
-            f_new = objective(A)
-            # f >= epsilon > 0 here, so the division below is safe
-            if f_new < f or rng.random() < math.exp((f - f_new) / (f * t)):
-                angles, f = proposal, f_new
-                if f < best_f:
-                    best_f, best_angles = f, angles.copy()
-                if f < cfg.epsilon:
-                    converged = True
+        # with no free angle every proposal is the current state and is
+        # accepted (exp(0) = 1) to no effect: only the cooling is left
+        i = 0 if m else cfg.iters_per_temp
+        step = math.pi * min(1.0, t)
+        lo, span = -step, step - (-step)   # Generator.uniform(-step, step)
+        moves = lo + span * buf
+        while i < cfg.iters_per_temp:
+            b = min(k, cfg.iters_per_temp - i)
+            need = b * (m + 1)
+            if pos + need > len(buf):
+                buf = np.concatenate((buf[pos:], rng.random(max(need, _DRAW_CHUNK))))
+                pos = 0
+                moves = lo + span * buf
+            P = angles + moves[pos:pos + need].reshape(b, m + 1)[:, :m]
+            Z = np.exp(1j * P)
+            flat[upper[:b]] = Z
+            flat[lower[:b]] = Z.conj()
+            vals = _score(objective, S[:b])
+            evaluations += b
+            coins = buf[pos + m:pos + need:m + 1].tolist()
+            for j, f_new in enumerate(vals):
+                downhill = f_new < f
+                # f >= epsilon > 0 here, so the division below is safe
+                if downhill or coins[j] < math.exp((f - f_new) / (f * t)):
                     break
             else:
-                place(angles)
+                pos, i, steps = pos + need, i + b, steps + b
+                k = min(2 * k, _MAX_BLOCK)
+                continue
+            # a downhill move never read its acceptance draw
+            pos += (j + 1) * (m + 1) - downhill
+            i, steps, accepted = i + j + 1, steps + j + 1, accepted + 1
+            k = max(k // 2, 1)
+            angles, f = P[j], f_new
+            if f < best_f:
+                best_f, best_angles = f, angles.copy()
+            if f < cfg.epsilon:
+                converged = True
+                break
         trace.append((t, best_f))
         t *= cfg.alpha
         if t <= cfg.tau:
             break
-    return best_f, best_angles, trace, converged
+    return best_f, best_angles, trace, (evaluations, steps, accepted)
 
 
 def anneal(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
@@ -151,18 +220,19 @@ def anneal(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
     """Run the annealing loop; returns the best state over all chains.
 
     The trace logs (temperature, best_f) once per cooling step of the
-    winning chain.  Deterministic for a fixed config.
+    winning chain; the counters sum over all chains.  Deterministic for
+    a fixed config, and independent of how proposals are blocked.
     """
     tree, free = _edge_layout(underlying)
     n = underlying.n
-    results = []
-    for i in range(cfg.chains):
-        results.append(_anneal_chain(n, tree, free, cfg, objective, cfg.seed + i))
-    _, (best_f, best_angles, trace, _) = min(
-        enumerate(results), key=lambda pair: (pair[1][0], pair[0]))
+    results = [_anneal_chain(n, tree, free, cfg, objective, cfg.seed + i)
+               for i in range(cfg.chains)]
+    best_f, best_angles, trace, _ = min(results, key=lambda r: r[0])
+    evaluations, steps, accepted = (sum(c) for c in zip(*(r[3] for r in results)))
     g = _graph_from_state(n, tree, free, best_angles)
     status = "Converged" if best_f < cfg.epsilon else "Exhausted"
-    return SearchResult(status, g, best_f, trace=trace, seed=cfg.seed)
+    return SearchResult(status, g, best_f, trace=trace, seed=cfg.seed,
+                        evaluations=evaluations, steps=steps, accepted=accepted)
 
 
 # -- distillation -----------------------------------------------------------------
@@ -242,7 +312,7 @@ def run_search(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
     # the result back to its tree-normal representative: free-edge gains
     # become cycle gains, which is what snapping can bite on
     refined, _ = normalize_spanning_tree(refined)
-    refined_f = objective(refined.matrix())
+    refined_f = _score(objective, refined.matrix()[None])[0]
     if refined_f < result.best_f:
         result.best_gains, result.best_f = refined, refined_f
         result.status = "Converged" if refined_f < cfg.epsilon else "Exhausted"

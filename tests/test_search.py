@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from gainforge import search
 from gainforge.constructions import catalog_entry, complete, toral
 from gainforge.errors import Disconnected, LengthMismatch
 from gainforge.gains import Gain, build, switching_isomorphic
@@ -28,6 +30,23 @@ QUICK = dict(t0=1.0, alpha=0.9, iters_per_temp=500, tau=1e-4, epsilon=1e-6)
 
 def c4():
     return build(4, [(0, 1, ONE), (1, 2, ONE), (2, 3, ONE), (3, 0, ONE)])
+
+
+def octagon_complement():
+    # 8 vertices, each joined to the 5 non-neighbours on the 8-cycle
+    return build(8, [(u, v, ONE) for u in range(8) for v in range(u + 1, 8)
+                     if (v - u) % 8 not in (1, 7)])
+
+
+SUPPORTS = {
+    "C4": c4,
+    "K4": lambda: complete(4),
+    "cube": lambda: build(8, [(u, v, ONE) for u in range(8) for v in range(u + 1, 8)
+                              if bin(u ^ v).count("1") == 1]),
+    "octahedron": lambda: build(6, [(u, v, ONE) for u in range(6) for v in range(u + 1, 6)
+                                    if {u, v} not in ({0, 1}, {2, 3}, {4, 5})]),
+    "octagon complement": octagon_complement,
+}
 
 
 # -- objectives -------------------------------------------------------------------
@@ -53,6 +72,33 @@ def test_cospectral_objective():
     assert objective_cospectral(A, target + [0, 0, 0, 0.5]) == pytest.approx(0.25)
     with pytest.raises(LengthMismatch):
         objective_cospectral(A, np.zeros(5))
+
+
+def test_objectives_score_a_stack_like_its_matrices():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(7, 6, 6)) + 1j * rng.normal(size=(7, 6, 6))
+    S = X + X.conj().transpose(0, 2, 1)
+    target = np.linspace(-3.0, 3.0, 6)
+    two_ev = objective_two_ev(S)
+    cospectral = objective_cospectral(S, target)
+    assert two_ev.shape == cospectral.shape == (7,)
+    for i in range(7):
+        # exactly equal: a matrix's score must not depend on the block it is in
+        assert two_ev[i] == objective_two_ev(S[i])
+        assert cospectral[i] == objective_cospectral(S[i], target)
+    assert isinstance(objective_two_ev(S[0]), float)
+    assert isinstance(objective_cospectral(S[0], target), float)
+    assert objective_two_ev(np.zeros((3, 0, 0))).shape == (3,)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda S: 0.0,                                  # one value for the block
+    lambda S: np.zeros(len(S) + 1),                 # one value too many
+    lambda S: np.zeros((len(S), 1)),                # values in a column
+])
+def test_an_objective_must_give_one_value_per_matrix(bad):
+    with pytest.raises(LengthMismatch, match="stack"):
+        anneal(c4(), SearchConfig(**QUICK), objective=bad)
 
 
 # -- configuration ----------------------------------------------------------------
@@ -104,14 +150,7 @@ def test_run_search_on_the_four_cycle_snaps_to_the_quarter_turn_square():
 
 
 def test_run_search_reports_exhausted_on_a_hopeless_support():
-    # C8 complement: 8 vertices, each joined to the 5 non-neighbours
-    edges = []
-    for u in range(8):
-        for v in range(u + 1, 8):
-            if (v - u) % 8 not in (1, 7):
-                edges.append((u, v, ONE))
-    g = build(8, edges)
-    res = run_search(g, SearchConfig(seed=0, **QUICK))
+    res = run_search(octagon_complement(), SearchConfig(seed=0, **QUICK))
     assert res.status == "Exhausted"
     assert res.best_f > 1e-6
     assert res.snapped is None
@@ -121,6 +160,123 @@ def test_extra_chains_only_improve_the_result():
     base = anneal(c4(), SearchConfig(seed=9, **QUICK))
     multi = anneal(c4(), SearchConfig(seed=9, chains=3, **QUICK))
     assert multi.best_f <= base.best_f
+
+
+# the annealer as it was before proposals were scored in blocks: one
+# proposal, one eigensolve and one Metropolis test at a time
+def _reference_chain(n: int, tree: list, free: list, cfg: SearchConfig,
+                     objective, seed: int):
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n), dtype=complex)
+    for u, v in tree:
+        A[u, v] = A[v, u] = 1.0
+    fu = np.array([e[0] for e in free], dtype=int)
+    fv = np.array([e[1] for e in free], dtype=int)
+
+    def place(angles: np.ndarray) -> None:
+        z = np.exp(1j * angles)
+        A[fu, fv] = z
+        A[fv, fu] = z.conj()
+
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=len(free))
+    place(angles)
+    f = objective(A)
+    best_f, best_angles = f, angles.copy()
+    trace = []
+    t = cfg.t0
+    converged = f < cfg.epsilon
+    while not converged:
+        for _ in range(cfg.iters_per_temp):
+            step = math.pi * min(1.0, t)
+            proposal = angles + rng.uniform(-step, step, size=len(free))
+            place(proposal)
+            f_new = objective(A)
+            # f >= epsilon > 0 here, so the division below is safe
+            if f_new < f or rng.random() < math.exp((f - f_new) / (f * t)):
+                angles, f = proposal, f_new
+                if f < best_f:
+                    best_f, best_angles = f, angles.copy()
+                if f < cfg.epsilon:
+                    converged = True
+                    break
+            else:
+                place(angles)
+        trace.append((t, best_f))
+        t *= cfg.alpha
+        if t <= cfg.tau:
+            break
+    return best_f, best_angles, trace, converged
+
+
+def _reference_anneal(underlying, cfg):
+    tree, free = search._edge_layout(underlying)
+    results = [_reference_chain(underlying.n, tree, free, cfg, objective_two_ev,
+                                cfg.seed + i) for i in range(cfg.chains)]
+    best_f, best_angles, trace, _ = min(results, key=lambda r: r[0])
+    return best_f, search._graph_from_state(underlying.n, tree, free, best_angles), trace
+
+
+SHORT = dict(t0=1.0, alpha=0.75, iters_per_temp=120, tau=1e-3, epsilon=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORTS))
+def test_blocked_annealer_follows_the_one_at_a_time_chain(name):
+    support = SUPPORTS[name]()
+    for seed, chains in [(0, 1), (1, 1), (2, 1), (5, 3)]:
+        cfg = SearchConfig(seed=seed, chains=chains, **SHORT)
+        best_f, best_gains, trace = _reference_anneal(support, cfg)
+        res = anneal(support, cfg)
+        assert res.best_f == best_f
+        assert res.trace == trace
+        assert np.array_equal(res.best_gains.matrix(), best_gains.matrix())
+
+
+@pytest.mark.parametrize("name", ["C4", "cube", "octagon complement"])
+def test_block_cap_does_not_change_the_result(name, monkeypatch):
+    support = SUPPORTS[name]()
+    cfg = SearchConfig(seed=3, chains=2, **SHORT)
+    blocked = run_search(support, cfg)
+    monkeypatch.setattr(search, "_MAX_BLOCK", 1)
+    single = run_search(support, cfg)
+    assert (blocked.status, blocked.best_f, blocked.trace) == \
+        (single.status, single.best_f, single.trace)
+    assert np.array_equal(blocked.best_gains.matrix(), single.best_gains.matrix())
+    assert (blocked.snapped is None) == (single.snapped is None)
+    assert (blocked.steps, blocked.accepted) == (single.steps, single.accepted)
+    # one proposal per block: nothing speculative, plus one start per chain
+    assert single.evaluations == single.steps + cfg.chains <= blocked.evaluations
+
+
+def test_counters_bound_each_other():
+    for name in ("C4", "octagon complement"):
+        cfg = SearchConfig(seed=2, chains=2, **SHORT)
+        res = anneal(SUPPORTS[name](), cfg)
+        assert all(type(c) is int for c in (res.evaluations, res.steps, res.accepted))
+        assert 0 < res.accepted <= res.steps <= res.evaluations
+    # an unconverged chain takes every step of its schedule
+    res = anneal(octagon_complement(), SearchConfig(seed=2, **SHORT))
+    assert res.status == "Exhausted"
+    assert res.steps == len(res.trace) * SHORT["iters_per_temp"]
+
+
+def test_a_tree_support_only_runs_the_cooling_schedule():
+    path = build(3, [(0, 1, ONE), (1, 2, ONE)])
+    cfg = SearchConfig(seed=1, **QUICK)
+    start = time.perf_counter()
+    res = anneal(path, cfg)
+    elapsed = time.perf_counter() - start
+    # eigenvalues sqrt 2, 0, -sqrt 2: the middle one gives |(0 - sqrt 2)(0 + sqrt 2)|
+    assert res.status == "Exhausted"
+    assert res.best_f == objective_two_ev(path.matrix()) == pytest.approx(2.0)
+    temps = math.ceil(math.log(QUICK["tau"]) / math.log(QUICK["alpha"]))
+    assert len(res.trace) == temps
+    assert res.trace == [(t, res.best_f) for t, _ in res.trace]
+    assert (res.evaluations, res.steps, res.accepted) == (1, 0, 0)
+    assert elapsed < 1.0
+    short = SearchConfig(seed=1, **SHORT)
+    best_f, _, trace = _reference_anneal(path, short)
+    res = anneal(path, short)
+    assert (res.best_f, res.trace) == (best_f, trace)
 
 
 def test_cospectral_search_hits_a_prescribed_spectrum():
