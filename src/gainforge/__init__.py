@@ -36,10 +36,12 @@ from .spectral import (
     predicted_thetas,
 )
 from .constructions import (
+    CSV_HEADER,
     CatalogEntry,
     WeighingMatrix,
     catalog,
     catalog_entry,
+    catalog_verify_all,
     cm_weighing,
     complete,
     d8_star,

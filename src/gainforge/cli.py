@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import constructions, fileio, lines as lines_mod, search as search_mod
-from .errors import GainForgeError, UnknownName
+from .errors import GainForgeError
+from .fileio import _fmt
 from .gains import Gain, switching_equivalent, switching_isomorphic
 from .spectral import certify_two_ev, eigenvalues
 
@@ -24,10 +25,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_FAIL = 4
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _read(path: str) -> str:
@@ -60,82 +57,18 @@ def _parse_param(spec: str) -> tuple[str, Gain]:
     raise ValueError(f"parameter value {value!r} must start with rot: or num:")
 
 
-# -- catalog verification -----------------------------------------------------
-
-CSV_HEADER = "name,order,k,m,theta1,theta2,residual,status"
-
-
-def catalog_verify_all(tol: float = 1e-8, only: Optional[str] = None,
-                       entries=None, draws: int = 5,
-                       seed: int = 20240801) -> tuple[list[str], bool]:
-    """Build every entry (sampling free parameters), certify, compare.
-
-    Returns the CSV rows (header first) and an all-passed flag.  Rows
-    keep catalog order; free parameters are drawn deterministically.
-    """
-    rng = np.random.default_rng(seed)
-    if entries is None:
-        entries = constructions.catalog()
-    if only is not None:
-        entries = [e for e in entries if only in e.tags]
-    rows = [CSV_HEADER]
-    all_ok = True
-    for entry in entries:
-        (t1, m1), (t2, m2) = entry.expected_spectrum
-        samples = max(1, draws if entry.parameters else 1)
-        worst_residual = 0.0
-        cert0 = None
-        ok = True
-        for _ in range(samples):
-            params = {}
-            for pname in entry.parameters:
-                angle = rng.uniform(0.0, 2.0 * np.pi)
-                params[pname] = Gain.numeric(complex(np.cos(angle), np.sin(angle)),
-                                             tol=1e-9)
-            try:
-                g = entry.build(**params)
-                cert = certify_two_ev(g)
-            except GainForgeError:
-                cert = None
-                g = None
-            if (cert is None or g.n != entry.order
-                    or abs(cert.theta1 - t1) > tol or abs(cert.theta2 - t2) > tol
-                    or cert.m != m1 or g.n - cert.m != m2):
-                ok = False
-                if cert is not None and cert0 is None:
-                    cert0 = cert
-                continue
-            worst_residual = max(worst_residual, cert.residual)
-            if cert0 is None:
-                cert0 = cert
-        if cert0 is None:
-            rows.append(f"{entry.name},{entry.order},,,,,,FAIL")
-        else:
-            status = "PASS" if ok else "FAIL"
-            rows.append(
-                f"{entry.name},{entry.order},{cert0.k:.10g},{cert0.m},"
-                f"{cert0.theta1:.10g},{cert0.theta2:.10g},"
-                f"{worst_residual:.3e},{status}")
-        all_ok = all_ok and ok
-    return rows, all_ok
-
-
 # -- subcommand handlers --------------------------------------------------------
 
 def _cmd_construct(args) -> int:
     params = dict(_parse_param(s) for s in args.param or [])
-    try:
-        entry = constructions.catalog_entry(args.name)
-        g = entry.build(**params)
-    except UnknownName:
-        g = constructions.fixed_catalog(args.name, **params)
+    g = constructions.fixed_catalog(args.name, **params)
     _emit(fileio.serialize_gaingraph(g), args.output)
     return EXIT_OK
 
 
 def _cmd_catalog(args) -> int:
     if args.verify_all:
-        rows, ok = catalog_verify_all(tol=args.tol, only=args.only)
+        rows, ok = constructions.catalog_verify_all(tol=args.tol, only=args.only)
         print("\n".join(rows))
         return EXIT_OK if ok else EXIT_FAIL
     for entry in constructions.catalog():
@@ -328,8 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("catalog", help="list or verify the registry")
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--verify-all", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--list", action="store_true")
+    mode.add_argument("--verify-all", action="store_true")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--only", help="restrict to entries carrying this tag")
     p.set_defaults(func=_cmd_catalog)

@@ -9,14 +9,15 @@ with zero residual; the one family with inherently irrational gains
 (quadratic-residue graphs on a Gaussian prime) is numeric.
 
 ``catalog()`` is the immutable registry of every named example together
-with its expected spectrum; the batch verifier in the CLI walks it.
+with its expected spectrum; ``catalog_verify_all`` rebuilds and certifies
+every entry.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -24,13 +25,15 @@ import numpy as np
 
 from .cyclotomic import root_sum_is_zero
 from .errors import (
+    GainForgeError,
     InvalidOrder,
     NotAWeighingMatrix,
     NotGaussianPrime,
     NotSquareRootOfkI,
     UnknownName,
 )
-from .gains import Gain, GainGraph, ONE, MINUS_ONE, I_GAIN, build, from_matrix
+from .gains import Gain, GainGraph, ONE, MINUS_ONE, I_GAIN, build, from_matrix, is_connected
+from .spectral import certify_two_ev
 
 PHI = Gain.exact(1, 3)      # primitive third root of unity
 PHI_BAR = Gain.exact(2, 3)
@@ -190,7 +193,6 @@ def ig(W: WeighingMatrix) -> GainGraph:
         if W.entries[i][j] is not None
     ]
     g = build(2 * n, edges)
-    from .gains import is_connected
     if not is_connected(g):
         warnings.warn("weighing matrix is reducible; IG is disconnected")
     return g
@@ -213,11 +215,7 @@ def _square_root_entries(g_or_W) -> tuple[list[list[Entry]], int]:
     else:
         raise NotSquareRootOfkI(f"unsupported input {type(g_or_W)!r}")
     n = len(entries)
-    A = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if entries[i][j] is not None:
-                A[i, j] = entries[i][j].value
+    A = g_or_W.matrix()
     sq = A @ A
     k = sq[0, 0].real
     if np.max(np.abs(sq - k * np.eye(n))) > 1e-9 or abs(k - round(k)) > 1e-9:
@@ -465,35 +463,6 @@ def example_1() -> GainGraph:
     return from_matrix(A)
 
 
-def fixed_catalog(name: str, **params) -> GainGraph:
-    """One-off graphs embedded as literal data (see also ``catalog()``)."""
-    x = params.get("x", ONE)
-    if name == "K_n":
-        return complete(int(params.get("n", 3)))
-    if name == "K222_gamma":
-        return k222_gamma()
-    if name == "Example1":
-        return example_1()
-    if name == "K8star":
-        return _graph_from_entries(_parse_matrix(_K8STAR_ROWS))
-    if name == "K10star":
-        return _graph_from_entries(_parse_matrix(_K10STAR_ROWS))
-    if name == "M1":
-        return _graph_from_entries(_parse_matrix(_M1_ROWS, x))
-    if name == "M2":
-        return ig(named_weighing("Z", x))
-    if name == "M3":
-        return _graph_from_entries(_parse_matrix(_M3_ROWS, x))
-    if name == "M4":
-        return _graph_from_entries(_parse_matrix(_M4_ROWS))
-    if name in ("GQ22", "Ramezani_Delta5"):
-        from . import lines
-        if name == "GQ22":
-            return lines.lines_to_gain(lines.geometry_lines("Hexacode"), 0.5)
-        return lines.lines_to_gain(lines.geometry_lines("SimplexDiff", m=5), 0.5)
-    raise UnknownName(f"no fixed graph named {name!r}")
-
-
 # -- the registry --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -615,10 +584,10 @@ def _catalog_entries() -> list[CatalogEntry]:
           tags=frozenset({"degree5"}), note="exceptional order-8 five-regular family"),
         # geometries
         E("GQ22", 15, 6, _spec(3.0, 6, -2.0, 9),
-          lambda **kw: fixed_catalog("GQ22"),
+          _lines_graph("Hexacode", 0.5),
           tags=frozenset({"geometry"}), note="hexacode line system on 15 vertices"),
         E("Ramezani_Delta5", 10, 6, _spec(3.0, 4, -2.0, 6),
-          lambda **kw: fixed_catalog("Ramezani_Delta5"),
+          _lines_graph("SimplexDiff", 0.5, m=5),
           tags=frozenset({"geometry"}), note="simplex difference lines, ten vertices"),
         E("Witting", 40, 27, _spec(9 * _SQRT3, 4, -_SQRT3, 36),
           _lines_graph("Witting", 1 / _SQRT3),
@@ -637,22 +606,22 @@ def _catalog_entries() -> list[CatalogEntry]:
           tags=frozenset({"geometry", "coxeter-todd"}), note="Coxeter-Todd lines, base-4 frame"),
         # sporadic search results
         E("K8star", 8, 7, _spec(_SQRT7, 4, -_SQRT7, 4),
-          lambda **kw: fixed_catalog("K8star"),
+          lambda **kw: _graph_from_entries(_parse_matrix(_K8STAR_ROWS)),
           tags=frozenset({"sporadic"}), note="seven-regular graph on eight vertices"),
         E("K10star", 10, 9, _spec(3.0, 5, -3.0, 5),
-          lambda **kw: fixed_catalog("K10star"),
+          lambda **kw: _graph_from_entries(_parse_matrix(_K10STAR_ROWS)),
           tags=frozenset({"sporadic"}), note="nine-regular signed graph on ten vertices"),
         E("M1", 12, 5, _spec(_SQRT5, 6, -_SQRT5, 6),
-          lambda x=ONE, **kw: fixed_catalog("M1", x=x), ("x",),
+          lambda x=ONE, **kw: _graph_from_entries(_parse_matrix(_M1_ROWS, x)), ("x",),
           tags=frozenset({"sporadic"}), note="five-regular family on the icosahedron"),
         E("M2", 12, 5, _spec(_SQRT5, 6, -_SQRT5, 6),
-          lambda x=ONE, **kw: fixed_catalog("M2", x=x), ("x",),
+          lambda x=ONE, **kw: ig(named_weighing("Z", x)), ("x",),
           tags=frozenset({"sporadic"}), note="bipartite double of the weight-5 matrix Z"),
         E("M3", 12, 5, _spec(_SQRT5, 6, -_SQRT5, 6),
-          lambda x=ONE, **kw: fixed_catalog("M3", x=x), ("x",),
+          lambda x=ONE, **kw: _graph_from_entries(_parse_matrix(_M3_ROWS, x)), ("x",),
           tags=frozenset({"sporadic"}), note="five-regular sporadic family"),
         E("M4", 12, 5, _spec(_SQRT5, 6, -_SQRT5, 6),
-          lambda **kw: fixed_catalog("M4"),
+          lambda **kw: _graph_from_entries(_parse_matrix(_M4_ROWS)),
           tags=frozenset({"sporadic"}), note="five-regular sporadic graph, quartic gains"),
         E("Example1", 7, 6, _spec(2 * _SQRT2, 3, -3.0 / _SQRT2, 4),
           lambda **kw: example_1(),
@@ -682,3 +651,68 @@ def catalog_entry(name: str) -> CatalogEntry:
         if e.name == name:
             return e
     raise UnknownName(f"no catalog entry named {name!r}")
+
+
+def fixed_catalog(name: str, **params) -> GainGraph:
+    """The catalog entry ``name`` built with the given free parameters."""
+    return catalog_entry(name).build(**params)
+
+
+# -- batch verification ----------------------------------------------------------
+
+CSV_HEADER = "name,order,k,m,theta1,theta2,residual,status"
+
+
+def catalog_verify_all(tol: float = 1e-8, only: Optional[str] = None,
+                       entries=None, draws: int = 5,
+                       seed: int = 20240801) -> tuple[list[str], bool]:
+    """Build every entry (sampling free parameters), certify, compare.
+
+    Returns the CSV rows (header first) and an all-passed flag.  Rows
+    keep catalog order; free parameters are drawn deterministically.
+    """
+    rng = np.random.default_rng(seed)
+    if entries is None:
+        entries = catalog()
+    if only is not None:
+        entries = [e for e in entries if only in e.tags]
+    rows = [CSV_HEADER]
+    all_ok = True
+    for entry in entries:
+        (t1, m1), (t2, m2) = entry.expected_spectrum
+        samples = max(1, draws if entry.parameters else 1)
+        worst_residual = 0.0
+        cert0 = None
+        ok = True
+        for _ in range(samples):
+            params = {}
+            for pname in entry.parameters:
+                angle = rng.uniform(0.0, 2.0 * np.pi)
+                params[pname] = Gain.numeric(complex(np.cos(angle), np.sin(angle)),
+                                             tol=1e-9)
+            try:
+                g = entry.build(**params)
+                cert = certify_two_ev(g)
+            except GainForgeError:
+                cert = None
+                g = None
+            if (cert is None or g.n != entry.order
+                    or abs(cert.theta1 - t1) > tol or abs(cert.theta2 - t2) > tol
+                    or cert.m != m1 or g.n - cert.m != m2):
+                ok = False
+                if cert is not None and cert0 is None:
+                    cert0 = cert
+                continue
+            worst_residual = max(worst_residual, cert.residual)
+            if cert0 is None:
+                cert0 = cert
+        if cert0 is None:
+            rows.append(f"{entry.name},{entry.order},,,,,,FAIL")
+        else:
+            status = "PASS" if ok else "FAIL"
+            rows.append(
+                f"{entry.name},{entry.order},{cert0.k:.10g},{cert0.m},"
+                f"{cert0.theta1:.10g},{cert0.theta2:.10g},"
+                f"{worst_residual:.3e},{status}")
+        all_ok = all_ok and ok
+    return rows, all_ok

@@ -42,18 +42,31 @@ NUMERIC_EQ_TOL = 1e-9
 
 # -- unit gains -----------------------------------------------------------
 
+_QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0),
+                  complex(-1.0, 0.0), complex(0.0, -1.0))
+
+
+def _turn(a: Fraction) -> complex:
+    """exp(2*pi*i*a) for an angle in [0, 1); exactly 1, i, -1, -i at quarter turns."""
+    if 4 % a.denominator == 0:
+        return _QUARTER_TURNS[4 * a.numerator // a.denominator]
+    return complex(math.cos(2 * math.pi * a), math.sin(2 * math.pi * a))
+
+
 class Gain:
     """A complex number of modulus one, exact or numeric.
 
     Exact gains are rotations by a rational angle p/q (in turns), kept in
     lowest terms with 0 <= p < q.  Products and conjugates of exact gains
     are exact; any operation that mixes in a numeric gain degrades to a
-    numeric result.
+    numeric result.  An exact gain's complex value is computed from its
+    angle by ``_turn`` when first read, so equal angles give equal values
+    and gains hash by value.
     """
 
     __slots__ = ("angle", "_z")
 
-    def __init__(self, angle: Optional[Fraction], z: complex):
+    def __init__(self, angle: Optional[Fraction], z: Optional[complex] = None):
         self.angle = angle
         self._z = z
 
@@ -61,9 +74,7 @@ class Gain:
     def exact(cls, p: int, q: int) -> "Gain":
         if q <= 0:
             raise NonUnitGain(f"denominator must be positive, got {q}")
-        a = Fraction(p, q) % 1
-        z = complex(math.cos(2 * math.pi * a), math.sin(2 * math.pi * a))
-        return cls(a, z)
+        return cls(Fraction(p, q) % 1)
 
     @classmethod
     def numeric(cls, z: complex, tol: float = 1e-12) -> "Gain":
@@ -74,6 +85,8 @@ class Gain:
 
     @property
     def value(self) -> complex:
+        if self._z is None:
+            self._z = _turn(self.angle)  # type: ignore[arg-type]
         return self._z
 
     @property
@@ -82,15 +95,13 @@ class Gain:
 
     def conj(self) -> "Gain":
         if self.angle is not None:
-            return Gain((-self.angle) % 1, self._z.conjugate())
+            return Gain((-self.angle) % 1)
         return Gain(None, self._z.conjugate())
 
     def __mul__(self, other: "Gain") -> "Gain":
         if self.angle is not None and other.angle is not None:
-            a = (self.angle + other.angle) % 1
-            return Gain(a, complex(math.cos(2 * math.pi * a),
-                                   math.sin(2 * math.pi * a)))
-        return Gain(None, self._z * other._z)
+            return Gain((self.angle + other.angle) % 1)
+        return Gain(None, self.value * other.value)
 
     def __neg__(self) -> "Gain":
         return self * Gain.exact(1, 2)
@@ -99,17 +110,17 @@ class Gain:
         """Equality up to tolerance; exact when both sides are exact."""
         if self.angle is not None and other.angle is not None:
             return self.angle == other.angle
-        return abs(self._z - other._z) <= tol
+        return abs(self.value - other.value) <= tol
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gain):
             return NotImplemented
         if self.angle is not None and other.angle is not None:
             return self.angle == other.angle
-        return self._z == other._z
+        return self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(self.angle) if self.angle is not None else hash(self._z)
+        return hash(self.value)
 
     def __repr__(self) -> str:
         if self.angle is not None:
@@ -269,18 +280,12 @@ def relabel(g: GainGraph, permutation: list[int]) -> GainGraph:
 
 
 def is_connected(g: GainGraph) -> bool:
-    if g.n == 0:
+    """Whether the support is connected; False for the empty graph."""
+    try:
+        _bfs_tree(g)
+    except Disconnected:
         return False
-    adj = g.neighbors()
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.n
+    return True
 
 
 # -- switching equivalence ----------------------------------------------------
@@ -306,8 +311,11 @@ def apply_witness(g: GainGraph, w: SwitchingWitness) -> GainGraph:
 def _bfs_tree(g: GainGraph) -> list[tuple[int, int]]:
     """Canonical spanning tree: BFS from vertex 0, neighbors by index.
 
-    Returns (parent, child) pairs in visit order; raises Disconnected.
+    Returns (parent, child) pairs in visit order; raises Disconnected,
+    also for the empty graph.
     """
+    if g.n == 0:
+        raise Disconnected("graph has no vertices")
     adj = g.neighbors()
     parent_edges = []
     seen = {0}

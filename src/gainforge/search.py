@@ -85,12 +85,18 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
+        if self.t0 <= 0 or self.tau <= 0:
+            raise ValueError(f"t0 and tau must be positive, got t0={self.t0}, tau={self.tau}")
         if self.tau >= self.t0:
             raise ValueError("tau must be below t0")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.iters_per_temp <= 0:
             raise ValueError("iters_per_temp must be positive")
+        if self.chains < 1:
+            raise ValueError(f"chains must be at least 1, got {self.chains}")
+        if self.snap_order < 1:
+            raise ValueError(f"snap_order must be at least 1, got {self.snap_order}")
 
 
 @dataclass

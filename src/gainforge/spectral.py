@@ -27,7 +27,7 @@ from .errors import (
     NoConvergence,
     TooLarge,
 )
-from .gains import GainGraph, is_connected
+from .gains import GainGraph, _bits, is_connected
 
 
 @dataclass
@@ -206,12 +206,12 @@ def char_poly_elementary(g: GainGraph, n_limit: int = 12) -> list[float]:
         total = 0.0
         v = (mask & -mask).bit_length() - 1
         rest = mask & ~(1 << v)
-        for u in _bits_of(adj[v] & rest):
+        for u in _bits(adj[v] & rest):
             total -= covers(rest & ~(1 << u))
 
         def paths(node: int, used: int, prod: complex, first: int) -> float:
             acc = 0.0
-            for u in _bits_of(adj[node] & mask & ~used):
+            for u in _bits(adj[node] & mask & ~used):
                 p2 = prod * gain_val[(node, u)]
                 used2 = used | (1 << u)
                 # close the cycle back at v; count each cycle in one
@@ -221,7 +221,7 @@ def char_poly_elementary(g: GainGraph, n_limit: int = 12) -> list[float]:
                 acc += paths(u, used2, p2, first)
             return acc
 
-        for u1 in _bits_of(adj[v] & rest):
+        for u1 in _bits(adj[v] & rest):
             total += paths(u1, (1 << v) | (1 << u1),
                            gain_val[(v, u1)], u1)
         memo[mask] = total
@@ -233,13 +233,6 @@ def char_poly_elementary(g: GainGraph, n_limit: int = 12) -> list[float]:
         if w:
             coeffs[mask.bit_count()] += w
     return coeffs
-
-
-def _bits_of(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def char_poly_from_eigenvalues(evs: list[float]) -> list[float]:

@@ -16,10 +16,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gainforge.cli import catalog_verify_all
 from gainforge.constructions import (
     catalog,
     catalog_entry,
+    catalog_verify_all,
     complete,
     double,
     example_1,

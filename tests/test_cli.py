@@ -104,6 +104,13 @@ def test_catalog_list_mentions_every_entry(capsys):
         assert entry.name in out
 
 
+def test_catalog_list_and_verify_all_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--list", "--verify-all"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_catalog_verify_only_degree4(capsys):
     assert main(["catalog", "--verify-all", "--only", "degree4"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()

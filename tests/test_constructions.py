@@ -27,13 +27,14 @@ from gainforge.constructions import (
     toral,
 )
 from gainforge.errors import (
+    Disconnected,
     InvalidOrder,
     NotAWeighingMatrix,
     NotGaussianPrime,
     NotSquareRootOfkI,
     UnknownName,
 )
-from gainforge.gains import Gain, switching_isomorphic
+from gainforge.gains import Gain, GainGraph, _bfs_tree, build, is_connected, switching_isomorphic
 from gainforge.spectral import certify_two_ev, eigenvalues
 
 ONE = Gain.exact(0, 1)
@@ -243,6 +244,26 @@ def test_fixed_catalog_m2_is_bipartite_root_of_5():
 def test_fixed_catalog_unknown():
     with pytest.raises(UnknownName):
         fixed_catalog("M9")
+
+
+def test_is_connected_agrees_with_the_bfs_tree():
+    graphs = [GainGraph(0), GainGraph(1), build(4, [(0, 1, ONE), (2, 3, ONE)])]
+    graphs += [e.build() for e in catalog()]
+    for g in graphs:
+        try:
+            _bfs_tree(g)
+            spanned = True
+        except Disconnected:
+            spanned = False
+        assert is_connected(g) == spanned
+    assert [is_connected(g) for g in graphs[:3]] == [False, True, False]
+
+
+def test_catalog_verify_all_is_exported_by_the_library():
+    import gainforge
+    rows, ok = gainforge.catalog_verify_all(entries=[catalog_entry("K4")])
+    assert ok and len(rows) == 2
+    assert rows[0] == gainforge.CSV_HEADER and rows[1].startswith("K4,4,3,1,")
 
 
 def test_complete_graph_certificate():

@@ -83,6 +83,37 @@ def test_exact_value_on_unit_circle(p, q):
     assert abs(abs(Gain.exact(p, q).value) - 1.0) < 1e-12
 
 
+def test_equal_exact_and_numeric_gains_hash_equally():
+    assert Gain.exact(0, 1) == Gain.numeric(1)
+    assert len({Gain.exact(0, 1), Gain.numeric(1)}) == 1
+    # quarter turns take the exact values 1, i, -1, -i
+    for p, z in enumerate((1, 1j, -1, -1j)):
+        assert Gain.exact(p, 4) == Gain.numeric(z)
+        assert hash(Gain.exact(p, 4)) == hash(Gain.numeric(z))
+
+
+def test_exact_value_depends_only_on_the_angle():
+    for q in range(1, 25):
+        for p in range(q):
+            a, b = Gain.exact(p, q).conj(), Gain.exact(-p, q)
+            assert a.value == b.value and hash(a) == hash(b), (p, q)
+
+
+_exact_gains = st.builds(Gain.exact, st.integers(-48, 48), st.integers(1, 24))
+_any_gain = st.one_of(
+    _exact_gains,
+    _exact_gains.map(lambda g: Gain.numeric(g.value)),
+    st.floats(0.0, 1.0).map(lambda t: Gain.numeric(complex(math.cos(2 * math.pi * t),
+                                                          math.sin(2 * math.pi * t)))),
+)
+
+
+@given(_any_gain, _any_gain)
+def test_equal_gains_hash_equally(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
 # -- graph construction -------------------------------------------------------
 
 def test_build_rejects_self_loop():

@@ -114,6 +114,18 @@ def test_config_validation():
         SearchConfig(iters_per_temp=0)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(t0=0, tau=-1),
+    dict(t0=1, tau=-1, alpha=0.5),
+    dict(chains=0),
+    dict(snap_order=0),
+    dict(snap_order=-3),
+])
+def test_config_rejects_values_the_annealer_cannot_run(bad):
+    with pytest.raises(ValueError, match="must be (positive|at least 1)"):
+        SearchConfig(**bad)
+
+
 # -- annealing ---------------------------------------------------------------------
 
 def test_anneal_requires_connected_support():
