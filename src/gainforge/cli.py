@@ -215,15 +215,19 @@ def _cmd_dismantle(args) -> int:
     return EXIT_OK
 
 
-def _cmd_search(args) -> int:
-    g = fileio.parse_gaingraph(_read(args.underlying))
+def _search_config(args) -> search_mod.SearchConfig:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("GAINFORGE_SEED", "0"))
-    cfg = search_mod.SearchConfig(
+    return search_mod.SearchConfig(
         t0=args.t0, alpha=args.alpha, tau=args.tau,
         iters_per_temp=args.iters, epsilon=args.eps,
         seed=seed, chains=args.chains, snap_order=args.snap)
+
+
+def _cmd_search(args) -> int:
+    g = fileio.parse_gaingraph(_read(args.underlying))
+    cfg = _search_config(args)
     if args.target_spectrum:
         target = np.array([float(tok) for tok in
                            _read(args.target_spectrum).split()])
@@ -305,15 +309,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dismantle)
 
     p = sub.add_parser("search", help="anneal for a two-eigenvalue gain function")
+    cfg = search_mod.SearchConfig()
     p.add_argument("--underlying", required=True)
-    p.add_argument("--t0", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.95)
-    p.add_argument("--tau", type=float, default=1e-4)
-    p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--eps", type=float, default=1e-6)
+    p.add_argument("--t0", type=float, default=cfg.t0)
+    p.add_argument("--alpha", type=float, default=cfg.alpha)
+    p.add_argument("--tau", type=float, default=cfg.tau)
+    p.add_argument("--iters", type=int, default=cfg.iters_per_temp)
+    p.add_argument("--eps", type=float, default=cfg.epsilon)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--chains", type=int, default=1)
-    p.add_argument("--snap", type=int, default=24)
+    p.add_argument("--chains", type=int, default=cfg.chains)
+    p.add_argument("--snap", type=int, default=cfg.snap_order)
     p.add_argument("--target-spectrum",
                    help="file of whitespace-separated target eigenvalues")
     p.add_argument("--trace", help="write per-temperature best-f CSV here")

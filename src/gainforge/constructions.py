@@ -23,8 +23,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import lines
 from .cyclotomic import root_sum_is_zero
 from .errors import (
+    BadParam,
     GainForgeError,
     InvalidOrder,
     NotAWeighingMatrix,
@@ -62,16 +64,6 @@ class WeighingMatrix:
     @property
     def is_exact(self) -> bool:
         return all(e.is_exact for row in self.entries for e in row if e is not None)
-
-    def is_hermitian(self) -> bool:
-        for i in range(self.n):
-            for j in range(i, self.n):
-                a, b = self.entries[i][j], self.entries[j][i]
-                if (a is None) != (b is None):
-                    return False
-                if a is not None and not a.close(b.conj()):
-                    return False
-        return True
 
 
 def _weighing_weight(entries: list[list[Entry]]) -> int:
@@ -198,47 +190,20 @@ def ig(W: WeighingMatrix) -> GainGraph:
     return g
 
 
-def _square_root_entries(g_or_W) -> tuple[list[list[Entry]], int]:
-    """Entries of a Hermitian zero-diagonal W with W^2 = kI, plus k."""
-    if isinstance(g_or_W, WeighingMatrix):
-        entries = g_or_W.entries
-        if not g_or_W.is_hermitian():
-            raise NotSquareRootOfkI("weighing matrix is not Hermitian")
-        if any(entries[i][i] is not None for i in range(g_or_W.n)):
-            raise NotSquareRootOfkI("diagonal is not zero")
-    elif isinstance(g_or_W, GainGraph):
-        n = g_or_W.n
-        entries = [[None] * n for _ in range(n)]
-        for (u, v), gn in g_or_W.gains.items():
-            entries[u][v] = gn
-            entries[v][u] = gn.conj()
-    else:
-        raise NotSquareRootOfkI(f"unsupported input {type(g_or_W)!r}")
-    n = len(entries)
-    A = g_or_W.matrix()
+def double(g: GainGraph, kind: str) -> GainGraph:
+    """Grow a gain graph whose matrix W squares to kI: ND -> +-sqrt(k+1),
+    SD -> +-sqrt(2k), SDstar -> +-sqrt(2k+1)."""
+    A = g.matrix()
     sq = A @ A
     k = sq[0, 0].real
-    if np.max(np.abs(sq - k * np.eye(n))) > 1e-9 or abs(k - round(k)) > 1e-9:
+    if np.max(np.abs(sq - k * np.eye(g.n))) > 1e-9 or abs(k - round(k)) > 1e-9:
         raise NotSquareRootOfkI("input does not satisfy W^2 = kI")
-    return entries, int(round(k))
-
-
-def double(g_or_W, kind: str) -> GainGraph:
-    """Grow a square root of kI: ND -> +-sqrt(k+1), SD -> +-sqrt(2k),
-    SDstar -> +-sqrt(2k+1)."""
-    entries, _k = _square_root_entries(g_or_W)
-    n = len(entries)
+    n = g.n
     edges: list[tuple[int, int, Gain]] = []
-    for u in range(n):
-        for v in range(n):
-            e = entries[u][v]
-            if e is None:
-                continue
-            if u < v:
-                edges.append((u, v, e))                      # W block
-                edges.append((n + u, n + v, -e))             # -W block
-            if kind in ("SD", "SDstar"):
-                edges.append((u, n + v, e))                  # W off-block
+    for (u, v), e in g.gains.items():
+        edges += [(u, v, e), (n + u, n + v, -e)]                   # W, -W blocks
+        if kind in ("SD", "SDstar"):
+            edges += [(u, n + v, e), (v, n + u, e.conj())]         # W off-block
     if kind == "ND":
         edges += [(u, n + u, ONE) for u in range(n)]
     elif kind == "SDstar":
@@ -250,47 +215,29 @@ def double(g_or_W, kind: str) -> GainGraph:
 
 # -- cyclic families ----------------------------------------------------------
 
-def _cycle_blocks(t: int, x: Gain) -> dict[tuple[int, int], Gain]:
-    """Entries of C for the directed t-cycle with gains (1, ..., 1, x)."""
-    c: dict[tuple[int, int], Gain] = {}
-    for j in range(t - 1):
-        c[(j, j + 1)] = ONE
-    c[(t - 1, 0)] = x
-    return c
-
-
-def _toral_entries(t: int, x: Gain, spokes: bool) -> list[list[Entry]]:
+def _toral_graph(t: int, x: Gain, spokes: bool) -> GainGraph:
+    """[[C + C*, C - C*], [(C - C*)*, -C - C*]] for the directed t-cycle C
+    with gains (1, ..., 1, x), plus the identity spokes when asked."""
     if t < 3:
         raise InvalidOrder(f"need t >= 3, got {t}")
-    C = _cycle_blocks(t, x)
-    n = 2 * t
-    entries: list[list[Entry]] = [[None] * n for _ in range(n)]
-
-    def put(i: int, j: int, g: Gain) -> None:
-        entries[i][j] = g
-        entries[j][i] = g.conj()
-
-    for (j, h), g in C.items():
-        put(j, h, g)                      # C + C*
-        put(t + j, t + h, -g)             # -C - C*
-        entries[j][t + h] = g             # C - C*
-        entries[t + h][j] = g.conj()
-        entries[h][t + j] = -(g.conj())   # (C - C*)[h][j] = -conj(C[j][h])
-        entries[t + j][h] = -g
-    if spokes:
-        for j in range(t):
-            put(j, t + j, ONE)
-    return entries
+    edges = []
+    for j in range(t):
+        h, g = (j + 1) % t, (ONE if j < t - 1 else x)
+        edges += [(j, h, g), (t + j, t + h, -g),             # C + C*, -C - C*
+                  (j, t + h, g), (h, t + j, -(g.conj()))]    # C - C*
+        if spokes:
+            edges.append((j, t + j, ONE))
+    return build(2 * t, edges)
 
 
 def toral(t: int, x: Gain) -> GainGraph:
     """Toral tessellation graph on 2t vertices: 4-regular, eigenvalues +-2."""
-    return _graph_from_entries(_toral_entries(t, x, spokes=False))
+    return _toral_graph(t, x, spokes=False)
 
 
 def donut(t: int, x: Gain) -> GainGraph:
     """The order-2t donut: toral blocks plus identity spokes; 5-regular, +-sqrt(5)."""
-    return _graph_from_entries(_toral_entries(t, x, spokes=True))
+    return _toral_graph(t, x, spokes=True)
 
 
 def d8_star(c: Gain) -> GainGraph:
@@ -470,8 +417,9 @@ class CatalogEntry:
     """A named graph with its expected two-eigenvalue spectrum.
 
     ``expected_spectrum`` is ((theta1, m1), (theta2, m2)); ``parameters``
-    names the free unit-gain slots of ``build`` (sampled by the batch
-    verifier).  ``tags`` group entries for report filtering.
+    names the free unit-gain slots of ``build``, which takes exactly
+    those keywords (sampled by the batch verifier).  ``tags`` group
+    entries for report filtering.
     """
 
     name: str
@@ -484,11 +432,10 @@ class CatalogEntry:
     note: str = ""
 
 
-def _lines_graph(geometry: str, alpha: float, **kw) -> Callable[..., GainGraph]:
-    def _build(**_ignored) -> GainGraph:
-        from . import lines
-        return lines.lines_to_gain(lines.geometry_lines(geometry, **kw), alpha)
-    return _build
+def _lines_graph(geometry: str, **params) -> GainGraph:
+    """The gain graph of a named line geometry, read at its declared angle."""
+    system = lines.geometry_lines(geometry, **params)
+    return lines.lines_to_gain(system, system.declared_angle)
 
 
 def _spec(t1: float, m1: int, t2: float, m2: int):
@@ -502,137 +449,136 @@ _SQRT7 = math.sqrt(7.0)
 
 
 def _catalog_entries() -> list[CatalogEntry]:
+    # builders look their constructions up when called, not when the
+    # catalog is made, so a function replaced on the module (a tracer's
+    # wrapper, say) is the one that runs
     E = CatalogEntry
+
+    def complete_entry(n: int) -> CatalogEntry:
+        return E(f"K{n}", n, n - 1, _spec(float(n - 1), 1, -1.0, n - 1),
+                 lambda: complete(n),
+                 tags=frozenset({"table2", "complete"} | ({"table3"} if n <= 4 else set())
+                                | ({"degree4", "table3"} if n == 5 else set())),
+                 note="all-ones complete graph")
+
     entries = [
         # least multiplicity at most 3
-        *[
-            E(f"K{n}", n, n - 1, _spec(float(n - 1), 1, -1.0, n - 1),
-              (lambda n=n, **kw: complete(n)),
-              tags=frozenset({"table2", "complete"} | ({"table3"} if n <= 4 else set())
-                             | ({"degree4", "table3"} if n == 5 else set())),
-              note="all-ones complete graph")
-            for n in (3, 4, 5, 6, 7)
-        ],
+        *[complete_entry(n) for n in (3, 4, 5, 6, 7)],
         E("IG(W2)", 4, 2, _spec(_SQRT2, 2, -_SQRT2, 2),
-          lambda **kw: ig(named_weighing("W2")),
+          lambda: ig(named_weighing("W2")),
           tags=frozenset({"table2", "table3"}), note="bipartite double of W2"),
         E("W4", 4, 3, _spec(_SQRT3, 2, -_SQRT3, 2),
-          lambda **kw: _graph_from_entries(named_weighing("W4").entries),
+          lambda: _graph_from_entries(named_weighing("W4").entries),
           tags=frozenset({"table2", "table3"}), note="graphical weight-3 weighing matrix"),
         E("K222_gamma", 6, 4, _spec(2 * _SQRT2, 2, -_SQRT2, 4),
-          lambda **kw: k222_gamma(),
+          lambda: k222_gamma(),
           tags=frozenset({"table2", "table3", "degree4"}),
           note="octahedron with eighth-root gains, from three MUBs in C^2"),
         E("MUB_C3(2)", 6, 3, _spec(_SQRT3, 3, -_SQRT3, 3),
-          _lines_graph("MUB_C3", 1 / _SQRT3, t=2),
+          lambda: _lines_graph("MUB_C3", t=2),
           tags=frozenset({"table2", "mub"}), note="two mutually unbiased bases in C^3"),
         E("MUB_C3(3)", 9, 6, _spec(2 * _SQRT3, 3, -_SQRT3, 6),
-          _lines_graph("MUB_C3", 1 / _SQRT3, t=3),
+          lambda: _lines_graph("MUB_C3", t=3),
           tags=frozenset({"table2", "mub"}), note="three mutually unbiased bases in C^3"),
         E("MUB_C3(4)", 12, 9, _spec(3 * _SQRT3, 3, -_SQRT3, 9),
-          _lines_graph("MUB_C3", 1 / _SQRT3, t=4),
+          lambda: _lines_graph("MUB_C3", t=4),
           tags=frozenset({"table2", "mub"}), note="four mutually unbiased bases in C^3"),
         E("T6", 6, 4, _spec(2.0, 3, -2.0, 3),
-          lambda x=ONE, **kw: toral(3, x), ("x",),
+          lambda x=ONE: toral(3, x), ("x",),
           tags=frozenset({"table2"}), note="order-6 toral tessellation, free unit x"),
         E("ETF6", 6, 5, _spec(_SQRT5, 3, -_SQRT5, 3),
-          lambda z=ONE, **kw: _etf6(z), ("z",),
+          lambda z=ONE: _lines_graph("ETF6", z=z), ("z",),
           tags=frozenset({"table2"}), note="order-6 equiangular tight frame family"),
         E("Renes7", 7, 6, _spec(2 * _SQRT2, 3, -3.0 / _SQRT2, 4),
-          lambda **kw: renes(7),
+          lambda: renes(7),
           tags=frozenset({"table2"}), note="quadratic-residue gains on K7"),
         E("SIC3", 9, 8, _spec(4.0, 3, -2.0, 6),
-          _lines_graph("SIC3", 0.5),
+          lambda: _lines_graph("SIC3"),
           tags=frozenset({"table2"}), note="nine equiangular lines in C^3"),
         # degree at most 4 (remaining rows)
         E("IG(W3)", 6, 3, _spec(_SQRT3, 3, -_SQRT3, 3),
-          lambda **kw: ig(named_weighing("W3")),
+          lambda: ig(named_weighing("W3")),
           tags=frozenset({"table3"}), note="bipartite double of W3"),
         E("ND(IG(W2))", 8, 3, _spec(_SQRT3, 4, -_SQRT3, 4),
-          lambda **kw: double(ig(named_weighing("W2")), "ND"),
+          lambda: double(ig(named_weighing("W2")), "ND"),
           tags=frozenset({"table3"}), note="signed cube"),
         E("ND(W4)", 8, 4, _spec(2.0, 4, -2.0, 4),
-          lambda **kw: double(_graph_from_entries(named_weighing("W4").entries), "ND"),
+          lambda: double(_graph_from_entries(named_weighing("W4").entries), "ND"),
           tags=frozenset({"table3", "degree4"}), note="doubled W4 graph"),
         E("IG(W5)", 10, 4, _spec(2.0, 5, -2.0, 5),
-          lambda **kw: ig(named_weighing("W5")),
+          lambda: ig(named_weighing("W5")),
           tags=frozenset({"table3", "degree4"}), note="bipartite double of W5"),
         E("ND(IG(W3))", 12, 4, _spec(2.0, 6, -2.0, 6),
-          lambda **kw: double(ig(named_weighing("W3")), "ND"),
+          lambda: double(ig(named_weighing("W3")), "ND"),
           tags=frozenset({"table3", "degree4"}), note="doubled bipartite double of W3"),
         E("IG(W7)", 14, 4, _spec(2.0, 7, -2.0, 7),
-          lambda **kw: ig(named_weighing("W7")),
+          lambda: ig(named_weighing("W7")),
           tags=frozenset({"table3", "degree4"}), note="bipartite double of W7"),
         E("ND(ND(IG(W2)))", 16, 4, _spec(2.0, 8, -2.0, 8),
-          lambda **kw: double(double(ig(named_weighing("W2")), "ND"), "ND"),
+          lambda: double(double(ig(named_weighing("W2")), "ND"), "ND"),
           tags=frozenset({"table3", "degree4"}), note="twice-doubled 4-cycle"),
         E("T8", 8, 4, _spec(2.0, 4, -2.0, 4),
-          lambda x=ONE, **kw: toral(4, x), ("x",),
+          lambda x=ONE: toral(4, x), ("x",),
           tags=frozenset({"table3", "degree4"}), note="order-8 toral tessellation, free unit x"),
         E("T10", 10, 4, _spec(2.0, 5, -2.0, 5),
-          lambda x=ONE, **kw: toral(5, x), ("x",),
+          lambda x=ONE: toral(5, x), ("x",),
           tags=frozenset({"toral"}), note="order-10 toral tessellation, free unit x"),
         # degree 5
         E("Donut6", 6, 5, _spec(_SQRT5, 3, -_SQRT5, 3),
-          lambda x=ONE, **kw: donut(3, x), ("x",),
+          lambda x=ONE: donut(3, x), ("x",),
           tags=frozenset({"degree5"}), note="order-6 donut, free unit x"),
         E("Donut8", 8, 5, _spec(_SQRT5, 4, -_SQRT5, 4),
-          lambda x=ONE, **kw: donut(4, x), ("x",),
+          lambda x=ONE: donut(4, x), ("x",),
           tags=frozenset({"degree5"}), note="order-8 donut, free unit x"),
         E("D8star", 8, 5, _spec(_SQRT5, 4, -_SQRT5, 4),
-          lambda c=I_GAIN, **kw: d8_star(c), ("c",),
+          lambda c=I_GAIN: d8_star(c), ("c",),
           tags=frozenset({"degree5"}), note="exceptional order-8 five-regular family"),
         # geometries
         E("GQ22", 15, 6, _spec(3.0, 6, -2.0, 9),
-          _lines_graph("Hexacode", 0.5),
+          lambda: _lines_graph("Hexacode"),
           tags=frozenset({"geometry"}), note="hexacode line system on 15 vertices"),
         E("Ramezani_Delta5", 10, 6, _spec(3.0, 4, -2.0, 6),
-          _lines_graph("SimplexDiff", 0.5, m=5),
+          lambda: _lines_graph("SimplexDiff", m=5),
           tags=frozenset({"geometry"}), note="simplex difference lines, ten vertices"),
         E("Witting", 40, 27, _spec(9 * _SQRT3, 4, -_SQRT3, 36),
-          _lines_graph("Witting", 1 / _SQRT3),
+          lambda: _lines_graph("Witting"),
           tags=frozenset({"geometry"}), note="forty lines of the Witting polytope"),
         E("ST33", 45, 32, _spec(16.0, 5, -2.0, 40),
-          _lines_graph("ST33", 0.5),
+          lambda: _lines_graph("ST33"),
           tags=frozenset({"geometry"}), note="45 lines in C^5 meeting the second bound"),
         E("CoxeterTodd2", 126, 80, _spec(40.0, 6, -2.0, 120),
-          _lines_graph("CoxeterTodd", 0.5, base=2),
+          lambda: _lines_graph("CoxeterTodd", base=2),
           tags=frozenset({"geometry", "coxeter-todd"}), note="Coxeter-Todd lines, base-2 frame"),
         E("CoxeterTodd3", 126, 80, _spec(40.0, 6, -2.0, 120),
-          _lines_graph("CoxeterTodd", 0.5, base=3),
+          lambda: _lines_graph("CoxeterTodd", base=3),
           tags=frozenset({"geometry", "coxeter-todd"}), note="Coxeter-Todd lines, base-3 frame"),
         E("CoxeterTodd4", 126, 80, _spec(40.0, 6, -2.0, 120),
-          _lines_graph("CoxeterTodd", 0.5, base=4),
+          lambda: _lines_graph("CoxeterTodd", base=4),
           tags=frozenset({"geometry", "coxeter-todd"}), note="Coxeter-Todd lines, base-4 frame"),
         # sporadic search results
         E("K8star", 8, 7, _spec(_SQRT7, 4, -_SQRT7, 4),
-          lambda **kw: _graph_from_entries(_parse_matrix(_K8STAR_ROWS)),
+          lambda: _graph_from_entries(_parse_matrix(_K8STAR_ROWS)),
           tags=frozenset({"sporadic"}), note="seven-regular graph on eight vertices"),
         E("K10star", 10, 9, _spec(3.0, 5, -3.0, 5),
-          lambda **kw: _graph_from_entries(_parse_matrix(_K10STAR_ROWS)),
+          lambda: _graph_from_entries(_parse_matrix(_K10STAR_ROWS)),
           tags=frozenset({"sporadic"}), note="nine-regular signed graph on ten vertices"),
         E("M1", 12, 5, _spec(_SQRT5, 6, -_SQRT5, 6),
-          lambda x=ONE, **kw: _graph_from_entries(_parse_matrix(_M1_ROWS, x)), ("x",),
+          lambda x=ONE: _graph_from_entries(_parse_matrix(_M1_ROWS, x)), ("x",),
           tags=frozenset({"sporadic"}), note="five-regular family on the icosahedron"),
         E("M2", 12, 5, _spec(_SQRT5, 6, -_SQRT5, 6),
-          lambda x=ONE, **kw: ig(named_weighing("Z", x)), ("x",),
+          lambda x=ONE: ig(named_weighing("Z", x)), ("x",),
           tags=frozenset({"sporadic"}), note="bipartite double of the weight-5 matrix Z"),
         E("M3", 12, 5, _spec(_SQRT5, 6, -_SQRT5, 6),
-          lambda x=ONE, **kw: _graph_from_entries(_parse_matrix(_M3_ROWS, x)), ("x",),
+          lambda x=ONE: _graph_from_entries(_parse_matrix(_M3_ROWS, x)), ("x",),
           tags=frozenset({"sporadic"}), note="five-regular sporadic family"),
         E("M4", 12, 5, _spec(_SQRT5, 6, -_SQRT5, 6),
-          lambda **kw: _graph_from_entries(_parse_matrix(_M4_ROWS)),
+          lambda: _graph_from_entries(_parse_matrix(_M4_ROWS)),
           tags=frozenset({"sporadic"}), note="five-regular sporadic graph, quartic gains"),
         E("Example1", 7, 6, _spec(2 * _SQRT2, 3, -3.0 / _SQRT2, 4),
-          lambda **kw: example_1(),
+          lambda: example_1(),
           tags=frozenset({"equiangular"}), note="seven equiangular lines in C^4"),
     ]
     return entries
-
-
-def _etf6(z: Gain) -> GainGraph:
-    from . import lines
-    return lines.lines_to_gain(lines.geometry_lines("ETF6", z=z), 1 / _SQRT5)
 
 
 _CATALOG: Optional[tuple[CatalogEntry, ...]] = None
@@ -655,7 +601,12 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 def fixed_catalog(name: str, **params) -> GainGraph:
     """The catalog entry ``name`` built with the given free parameters."""
-    return catalog_entry(name).build(**params)
+    entry = catalog_entry(name)
+    unknown = sorted(set(params) - set(entry.parameters))
+    if unknown:
+        takes = ", ".join(entry.parameters) or "no parameters"
+        raise BadParam(f"{name} has no parameter {', '.join(unknown)}; it takes {takes}")
+    return entry.build(**params)
 
 
 # -- batch verification ----------------------------------------------------------

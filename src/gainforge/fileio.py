@@ -25,6 +25,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _rows(text: str) -> list[tuple[int, list[str]]]:
+    """(1-based line number, tokens) for every line with content after comments."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = strip_comment(raw)
+        if body:
+            rows.append((lineno, body.split()))
+    return rows
+
+
 # -- gain graphs -----------------------------------------------------------------
 
 def serialize_gaingraph(g: GainGraph) -> str:
@@ -40,12 +50,7 @@ def serialize_gaingraph(g: GainGraph) -> str:
 
 
 def parse_gaingraph(text: str) -> GainGraph:
-    lines = text.splitlines()
-    rows = []
-    for lineno, raw in enumerate(lines, start=1):
-        body = strip_comment(raw)
-        if body:
-            rows.append((lineno, body.split()))
+    rows = _rows(text)
     if not rows or rows[0][1] != ["gaingraph", "v1"]:
         raise ParseError(rows[0][0] if rows else 1, "expected header 'gaingraph v1'")
     if len(rows) < 2 or rows[1][1][0] != "n" or len(rows[1][1]) != 2:
@@ -110,11 +115,7 @@ def serialize_lines(system: LineSystem) -> str:
 
 
 def parse_lines(text: str) -> LineSystem:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = strip_comment(raw)
-        if body:
-            rows.append((lineno, body.split()))
+    rows = _rows(text)
     if not rows or rows[0][1] != ["lines", "v1"]:
         raise ParseError(rows[0][0] if rows else 1, "expected header 'lines v1'")
     if len(rows) < 3:

@@ -32,7 +32,7 @@ from .errors import (
     Timeout,
     UnknownName,
 )
-from .gains import Gain, GainGraph, build
+from .gains import ONE, Gain, GainGraph, build, max_coclique
 from .spectral import TwoEvCertificate, certify_two_ev
 
 _PHI = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
@@ -225,7 +225,6 @@ def bounds_check(m: int, s: int, has_zero: bool,
         report.rank_bound_ok = g.n <= report.rank_bound
     else:
         report.absolute_ok = g.n <= bound
-    from .gains import max_coclique
     size, _ = max_coclique(g)
     report.max_coclique = size
     report.coclique_ok = size <= m
@@ -291,6 +290,10 @@ def _hexacode_vectors() -> np.ndarray:
 
 # -- named geometries --------------------------------------------------------------
 
+def _unit(x: Gain | complex) -> complex:
+    return x.value if isinstance(x, Gain) else complex(x)
+
+
 def _std_basis(m: int) -> list[np.ndarray]:
     return [np.eye(m, dtype=complex)[:, j] for j in range(m)]
 
@@ -314,7 +317,7 @@ def _sic3() -> np.ndarray:
     return np.array(rows, dtype=complex) / math.sqrt(2.0)
 
 
-def _mub_c2(t: int) -> np.ndarray:
+def _mub_c2(t: int = 3) -> np.ndarray:
     if t not in (2, 3):
         raise BadParam(f"t must be 2 or 3, got {t}")
     s2 = math.sqrt(2.0)
@@ -325,7 +328,7 @@ def _mub_c2(t: int) -> np.ndarray:
     return np.array(cols, dtype=complex).T
 
 
-def _mub_c3(t: int) -> np.ndarray:
+def _mub_c3(t: int = 4) -> np.ndarray:
     if t not in (2, 3, 4):
         raise BadParam(f"t must be 2, 3 or 4, got {t}")
     cols = _std_basis(3)
@@ -337,7 +340,8 @@ def _mub_c3(t: int) -> np.ndarray:
     return np.array(cols, dtype=complex).T
 
 
-def _mub_c4_pair(x: complex) -> np.ndarray:
+def _mub_c4_pair(x: Gain | complex = ONE) -> np.ndarray:
+    x = _unit(x)
     cols = _std_basis(4)
     cols += [
         np.array([1, 1, 1, -1]) / 2.0,
@@ -348,7 +352,8 @@ def _mub_c4_pair(x: complex) -> np.ndarray:
     return np.array(cols, dtype=complex).T
 
 
-def _etf6(z: complex) -> np.ndarray:
+def _etf6(z: Gain | complex = ONE) -> np.ndarray:
+    z = _unit(z)
     tau = math.sqrt((5.0 + math.sqrt(5.0)) / 10.0)
     sig = math.sqrt((5.0 - math.sqrt(5.0)) / 10.0)
     cols = [
@@ -358,7 +363,7 @@ def _etf6(z: complex) -> np.ndarray:
     return np.array(cols, dtype=complex).T
 
 
-def _simplex_diff(m: int) -> np.ndarray:
+def _simplex_diff(m: int = 5) -> np.ndarray:
     """Normalized e_h - e_j in span coordinates (rank m-1)."""
     if m < 2:
         raise BadParam(f"need m >= 2, got {m}")
@@ -416,7 +421,7 @@ def _st33() -> np.ndarray:
     return np.array(cols, dtype=complex).T
 
 
-def _coxeter_todd(base: int) -> np.ndarray:
+def _coxeter_todd(base: int = 2) -> np.ndarray:
     cols: list[np.ndarray] = []
     if base == 2:
         for word in _projective_weight4_hexacodewords():
@@ -465,36 +470,32 @@ def _coxeter_todd(base: int) -> np.ndarray:
     return np.array(cols, dtype=complex).T
 
 
+# name -> (column builder taking the geometry's parameters, declared angle)
+_GEOMETRIES = {
+    "SIC2": (_sic2, 1 / math.sqrt(3.0)),
+    "SIC3": (_sic3, 0.5),
+    "MUB_C2": (_mub_c2, 1 / math.sqrt(2.0)),
+    "MUB_C3": (_mub_c3, 1 / math.sqrt(3.0)),
+    "MUB_C4_pair": (_mub_c4_pair, 0.5),
+    "ETF6": (_etf6, 1 / math.sqrt(5.0)),
+    "SimplexDiff": (_simplex_diff, 0.5),
+    "Hexacode": (_hexacode_vectors, 0.5),
+    "Witting": (_witting, 1 / math.sqrt(3.0)),
+    "ST33": (_st33, 0.5),
+    "CoxeterTodd": (_coxeter_todd, 0.5),
+}
+
+
 def geometry_lines(name: str, **params) -> LineSystem:
-    """Build a named line system; see the module docstring for the menu."""
-    s3 = math.sqrt(3.0)
-    if name == "SIC2":
-        return LineSystem(_sic2(), declared_angle=1 / s3)
-    if name == "SIC3":
-        return LineSystem(_sic3(), declared_angle=0.5)
-    if name == "MUB_C2":
-        return LineSystem(_mub_c2(int(params.get("t", 3))), declared_angle=1 / math.sqrt(2.0))
-    if name == "MUB_C3":
-        return LineSystem(_mub_c3(int(params.get("t", 4))), declared_angle=1 / s3)
-    if name == "MUB_C4_pair":
-        x = params.get("x", Gain.exact(0, 1))
-        xv = x.value if isinstance(x, Gain) else complex(x)
-        return LineSystem(_mub_c4_pair(xv), declared_angle=0.5)
-    if name == "ETF6":
-        z = params.get("z", Gain.exact(0, 1))
-        zv = z.value if isinstance(z, Gain) else complex(z)
-        return LineSystem(_etf6(zv), declared_angle=1 / math.sqrt(5.0))
-    if name == "SimplexDiff":
-        return LineSystem(_simplex_diff(int(params.get("m", 5))), declared_angle=0.5)
-    if name == "Hexacode":
-        return LineSystem(_hexacode_vectors(), declared_angle=0.5)
-    if name == "Witting":
-        return LineSystem(_witting(), declared_angle=1 / s3)
-    if name == "ST33":
-        return LineSystem(_st33(), declared_angle=0.5)
-    if name == "CoxeterTodd":
-        return LineSystem(_coxeter_todd(int(params.get("base", 2))), declared_angle=0.5)
-    raise UnknownName(f"no geometry named {name!r}")
+    """Build a named line system; see the module docstring for the menu.
+
+    ``params`` go to the geometry's column builder, so a parameter the
+    geometry does not take raises TypeError.
+    """
+    if name not in _GEOMETRIES:
+        raise UnknownName(f"no geometry named {name!r}")
+    columns, angle = _GEOMETRIES[name]
+    return LineSystem(columns(**params), declared_angle=angle)
 
 
 # -- dismantling -----------------------------------------------------------------

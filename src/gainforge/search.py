@@ -276,13 +276,11 @@ def refine_gains(g: GainGraph, max_iter: int = 200) -> GainGraph:
     return build(n, [(u, v, Gain.numeric(complex(A[u, v]), tol=1e-6)) for u, v in edges])
 
 
-def snap_gains(g: GainGraph, Q: int = 24, verify_tol: float = 1e-9,
-               partial: bool = False) -> Optional[GainGraph]:
+def snap_gains(g: GainGraph, Q: int = 24) -> Optional[GainGraph]:
     """Replace each gain by the nearest root of unity of order at most Q.
 
-    Gains further than 1e-3 radians from every such root abort the snap
-    (or survive unchanged in partial mode).  The snapped graph must
-    re-certify or None is returned.
+    Gains further than 1e-3 radians from every such root abort the snap.
+    The snapped graph must re-certify at tol 1e-9 or None is returned.
     """
     edges = []
     for (u, v), gn in sorted(g.gains.items()):
@@ -299,12 +297,10 @@ def snap_gains(g: GainGraph, Q: int = 24, verify_tol: float = 1e-9,
         dist, p, q = best
         if dist * 2 * math.pi <= 1e-3:
             edges.append((u, v, Gain.exact(p, q)))
-        elif partial:
-            edges.append((u, v, gn))
         else:
             return None
     snapped = build(g.n, edges)
-    if certify_two_ev(snapped, tol=verify_tol) is None:
+    if certify_two_ev(snapped, tol=1e-9) is None:
         return None
     return snapped
 

@@ -67,8 +67,7 @@ def _cluster(values: list[float], tol: float) -> list[tuple[float, int]]:
     return [(sum(c) / len(c), len(c)) for c in clusters]
 
 
-def eigenvalues(g: GainGraph, tol: float = 1e-9,
-                cluster_tol: float = 1e-8) -> Spectrum:
+def eigenvalues(g: GainGraph, cluster_tol: float = 1e-8) -> Spectrum:
     """Real spectrum of the gain matrix, sorted descending."""
     if g.n == 0:
         raise EmptyGraph("no vertices")
@@ -92,7 +91,7 @@ def certify_two_ev(g: GainGraph, tol: float = 1e-9) -> Optional[TwoEvCertificate
     if not is_connected(g):
         raise Disconnected("certification requires a connected graph")
     cluster_tol = max(1e-8, 1e3 * tol)
-    spec = eigenvalues(g, tol, cluster_tol)
+    spec = eigenvalues(g, cluster_tol)
     if len(spec.clusters) != 2:
         return None
     (t1, m1), (t2, m2) = spec.clusters

@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from gainforge.cli import main
+from gainforge.cli import _build_parser, _search_config, main
 from gainforge.constructions import catalog, catalog_entry
 from gainforge.fileio import parse_gaingraph, parse_lines, serialize_gaingraph, serialize_lines
 from gainforge.gains import Gain, build
 from gainforge.lines import geometry_lines
+from gainforge.search import SearchConfig
 from gainforge.spectral import certify_two_ev, eigenvalues
 
 
@@ -58,6 +59,14 @@ def test_construct_unknown_name_is_a_usage_error(capsys):
 
 def test_construct_bad_parameter_syntax(capsys):
     assert main(["construct", "T6", "--param", "x=1/8"]) == 2
+
+
+@pytest.mark.parametrize("name,param", [("K8star", "x"), ("T6", "y")])
+def test_construct_rejects_a_parameter_the_entry_does_not_take(name, param, capsys):
+    assert main(["construct", name, "--param", f"{param}=rot:1/8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"no parameter {param}" in captured.err
 
 
 # -- verify / spectrum -------------------------------------------------------------
@@ -247,6 +256,11 @@ def test_search_seed_falls_back_to_the_environment(tmp_path, capsys, monkeypatch
                  "--t0", "1", "--alpha", "0.9", "--iters", "500"])
     assert code == 0
     assert "seed=17" in capsys.readouterr().out
+
+
+def test_search_flag_defaults_are_the_config_defaults():
+    args = _build_parser().parse_args(["search", "--underlying", "f.gg", "--seed", "0"])
+    assert _search_config(args) == SearchConfig(seed=0)
 
 
 def test_search_exhausted_exit_code(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from gainforge.constructions import (
     toral,
 )
 from gainforge.errors import (
+    BadParam,
     Disconnected,
     InvalidOrder,
     NotAWeighingMatrix,
@@ -244,6 +246,29 @@ def test_fixed_catalog_m2_is_bipartite_root_of_5():
 def test_fixed_catalog_unknown():
     with pytest.raises(UnknownName):
         fixed_catalog("M9")
+
+
+def test_fixed_catalog_rejects_a_parameter_the_entry_does_not_take():
+    with pytest.raises(BadParam, match="takes x"):
+        fixed_catalog("T6", y=ONE)
+    with pytest.raises(BadParam, match="takes no parameters"):
+        fixed_catalog("K8star", x=ONE)
+
+
+def test_catalog_builders_take_exactly_the_declared_parameters():
+    for e in catalog():
+        assert tuple(inspect.signature(e.build).parameters) == e.parameters, e.name
+
+
+def test_catalog_builders_look_up_constructions_when_called(monkeypatch):
+    import gainforge.constructions as constructions
+    catalog()   # made before the patch
+    calls = []
+    monkeypatch.setattr(constructions, "complete", lambda n: calls.append(n) or GainGraph(n))
+    monkeypatch.setattr(constructions, "toral", lambda t, x: calls.append((t, x)) or GainGraph(2 * t))
+    assert catalog_entry("K5").build().n == 5
+    assert catalog_entry("T8").build(x=MINUS).n == 8
+    assert calls == [5, (4, MINUS)]
 
 
 def test_is_connected_agrees_with_the_bfs_tree():

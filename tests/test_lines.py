@@ -122,6 +122,13 @@ def test_geometry_unknown_name():
         geometry_lines("Penrose")
 
 
+def test_geometry_rejects_a_parameter_it_does_not_take():
+    with pytest.raises(TypeError):
+        geometry_lines("SIC2", t=3)
+    with pytest.raises(TypeError):
+        geometry_lines("MUB_C3", m=3)
+
+
 # -- the bridge ------------------------------------------------------------------
 
 def test_gain_to_lines_counts_and_angle():
