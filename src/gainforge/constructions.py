@@ -27,6 +27,7 @@ from . import lines
 from .cyclotomic import root_sum_is_zero
 from .errors import (
     BadParam,
+    EmptyGraph,
     GainForgeError,
     InvalidOrder,
     NotAWeighingMatrix,
@@ -193,6 +194,8 @@ def ig(W: WeighingMatrix) -> GainGraph:
 def double(g: GainGraph, kind: str) -> GainGraph:
     """Grow a gain graph whose matrix W squares to kI: ND -> +-sqrt(k+1),
     SD -> +-sqrt(2k), SDstar -> +-sqrt(2k+1)."""
+    if g.n == 0:
+        raise EmptyGraph("cannot double a graph with no vertices")
     A = g.matrix()
     sq = A @ A
     k = sq[0, 0].real

@@ -12,6 +12,11 @@ rotation exp(2*pi*i*p/q) exactly (angle arithmetic on ``Fraction``),
 while ``Gain.numeric(z)`` stores an arbitrary unit complex number.
 Exact gains survive switching and comparison without rounding, which is
 what makes equivalence tests on root-of-unity graphs decidable.
+
+Every switching witness comes from one rule, ``_diagonal_entry``: with
+the diagonal 1 at a first vertex, each edge out of a vertex whose entry
+is known fixes the entry at its other end.  The isomorphism search does
+this as it places vertices, and prunes as soon as two edges disagree.
 """
 
 from __future__ import annotations
@@ -341,22 +346,18 @@ def normalize_spanning_tree(g: GainGraph) -> tuple[GainGraph, SwitchingWitness]:
     their normalized forms coincide.
     """
     tree = _bfs_tree(g)
-    s: list[Optional[Gain]] = [None] * g.n
-    s[0] = ONE
+    s = [ONE] * g.n
     for u, v in tree:
         s[v] = s[u] * g.gain(u, v).conj()
-    witness = SwitchingWitness(list(range(g.n)), list(s), False)  # type: ignore[arg-type]
-    normalized = switch(g, witness.diagonal)
+    normalized = switch(g, s)
     for u, v in tree:
-        key = (u, v) if u < v else (v, u)
-        normalized.gains[key] = ONE
-    return normalized, witness
+        normalized.gains[(min(u, v), max(u, v))] = ONE
+    return normalized, SwitchingWitness(list(range(g.n)), s, False)
 
 
-def _graphs_equal(g1: GainGraph, g2: GainGraph, tol: float = NUMERIC_EQ_TOL) -> bool:
-    if g1.n != g2.n or g1.gains.keys() != g2.gains.keys():
-        return False
-    return all(g1.gains[e].close(g2.gains[e], tol) for e in g1.gains)
+def _diagonal_entry(dw: Gain, hwu: Gain, gwv: Gain) -> Gain:
+    """d_v with conj(d_w) * hwu * d_v = gwv: the switch sending w -> u onto w' -> v."""
+    return dw * hwu.conj() * gwv
 
 
 def switching_equivalent(g1: GainGraph, g2: GainGraph,
@@ -364,13 +365,12 @@ def switching_equivalent(g1: GainGraph, g2: GainGraph,
     """Witness that a diagonal switch alone maps g1 onto g2, if one exists."""
     if g1.n != g2.n or g1.support() != g2.support():
         raise SupportMismatch("graphs must share their underlying support")
-    n1, w1 = normalize_spanning_tree(g1)
-    n2, w2 = normalize_spanning_tree(g2)
-    if not _graphs_equal(n1, n2, tol):
+    d = [ONE] * g1.n
+    for u, v in _bfs_tree(g1):
+        d[v] = _diagonal_entry(d[u], g1.gain(u, v), g2.gain(u, v))
+    if not all(gn.close(g2.gains[e], tol) for e, gn in switch(g1, d).gains.items()):
         return None
-    # switch(g1, d1) == switch(g2, d2)  =>  g2 == switch(g1, d1 * conj(d2))
-    diag = [a * b.conj() for a, b in zip(w1.diagonal, w2.diagonal)]
-    return SwitchingWitness(list(range(g1.n)), diag, False)
+    return SwitchingWitness(list(range(g1.n)), d, False)
 
 
 def _neighbor_degree_key(adj: list[list[int]], deg: list[int], u: int) -> tuple:
@@ -382,22 +382,19 @@ def switching_isomorphic(g1: GainGraph, g2: GainGraph,
                          tol: float = NUMERIC_EQ_TOL) -> Optional[SwitchingWitness]:
     """Search for a switching isomorphism (switch + relabel + optional converse).
 
-    Backtracks over support isomorphisms with degree-based pruning and
-    tests switching equivalence for each complete candidate.  Raises
-    Timeout when the node-expansion budget runs out, which is *not* a
-    proof of non-isomorphism.  ``tol`` loosens the gain comparison for
-    graphs that are only numerically on the switching class.
+    Backtracks over support isomorphisms with degree-based pruning while
+    fixing the diagonal, indexed by g2's vertices, as vertices are placed:
+    a vertex's first placed neighbour fixes the entry at its image, and
+    the image is pruned unless every other placed neighbour agrees within
+    ``tol``.  Runs on g1, then on its converse, with one node-expansion
+    budget for both; Timeout is *not* a proof of non-isomorphism.
     """
     if g1.n != g2.n:
         raise OrderMismatch(f"orders differ: {g1.n} vs {g2.n}")
     if not is_connected(g1) or not is_connected(g2):
         raise Disconnected("both graphs must be connected")
-    if len(g1.gains) != len(g2.gains):
-        return None
     adj1, adj2 = g1.neighbors(), g2.neighbors()
     deg1, deg2 = g1.degrees(), g2.degrees()
-    if sorted(deg1) != sorted(deg2):
-        return None
     keys1 = [_neighbor_degree_key(adj1, deg1, u) for u in range(g1.n)]
     keys2 = [_neighbor_degree_key(adj2, deg2, u) for u in range(g2.n)]
     if sorted(keys1) != sorted(keys2):
@@ -405,7 +402,7 @@ def switching_isomorphic(g1: GainGraph, g2: GainGraph,
 
     set1 = [set(a) for a in adj1]
     set2 = [set(a) for a in adj2]
-    g2conv = converse(g2)
+    g2_gain = {**g2.gains, **{(b, a): gn.conj() for (a, b), gn in g2.gains.items()}}
 
     # order g1's vertices so each one (after the first) touches the mapped part
     start = max(range(g1.n), key=lambda u: deg1[u])
@@ -420,47 +417,49 @@ def switching_isomorphic(g1: GainGraph, g2: GainGraph,
         placed.add(nxt)
 
     perm: list[Optional[int]] = [None] * g1.n
+    d = [ONE] * g2.n
     used = [False] * g2.n
     expansions = 0
 
-    def extend(i: int) -> Optional[SwitchingWitness]:
+    def extend(i: int) -> bool:
         nonlocal expansions
         if i == g1.n:
-            p = [perm[u] for u in range(g1.n)]  # type: ignore[misc]
-            cand = relabel(g1, p)
-            for target, conj_flag in ((g2, False), (g2conv, True)):
-                try:
-                    w = switching_equivalent(cand, target, tol)
-                except SupportMismatch:
-                    continue
-                if w is not None:
-                    d = [x.conj() for x in w.diagonal] if conj_flag else w.diagonal
-                    return SwitchingWitness(p, d, conj_flag)
-            return None
+            return True
         u = order[i]
         for v in range(g2.n):
             if used[v] or keys1[u] != keys2[v]:
                 continue
-            ok = True
-            for w_ in order[:i]:
-                if (w_ in set1[u]) != (perm[w_] in set2[v]):
-                    ok = False
-                    break
-            if not ok:
+            if any((w in set1[u]) != (perm[w] in set2[v]) for w in order[:i]):
                 continue
             expansions += 1
             if expansions > budget:
                 raise Timeout(f"isomorphism search exceeded {budget} expansions")
+            # each placed neighbour implies d[v]; the first one (none: 1) sets it
+            implied = (_diagonal_entry(d[perm[w]], hwu, g2_gain[perm[w], v])
+                       for w, hwu in links[i])
+            dv = next(implied, ONE)
+            if not all(x.close(dv, tol) for x in implied):
+                continue
             perm[u] = v
+            d[v] = dv
             used[v] = True
-            found = extend(i + 1)
-            perm[u] = None
+            if extend(i + 1):
+                return True
             used[v] = False
-            if found is not None:
-                return found
-        return None
+        return False
 
-    return extend(0)
+    try:
+        for conjugated in (False, True):
+            h = converse(g1) if conjugated else g1
+            # (w, h(w -> u)) for each neighbour w placed before u = order[i]
+            links = [[(w, h.gain(w, u)) for w in order[:i] if w in set1[u]]
+                     for i, u in enumerate(order)]
+            if extend(0):
+                return SwitchingWitness(list(perm), d, conjugated)  # type: ignore[arg-type]
+        return None
+    finally:
+        # extend refers to itself; without this its state outlives the call until gc runs
+        del extend
 
 
 # -- structural statistics --------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import Disconnected, LengthMismatch
+from .errors import LengthMismatch
 from .gains import Gain, GainGraph, _bfs_tree, build, normalize_spanning_tree
 from .spectral import TwoEvCertificate, certify_two_ev
 

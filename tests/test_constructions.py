@@ -30,6 +30,7 @@ from gainforge.constructions import (
 from gainforge.errors import (
     BadParam,
     Disconnected,
+    EmptyGraph,
     InvalidOrder,
     NotAWeighingMatrix,
     NotGaussianPrime,
@@ -134,6 +135,11 @@ def test_double_rejects_non_root():
     g = build(3, [(0, 1, ONE), (1, 2, ONE)])
     with pytest.raises(NotSquareRootOfkI):
         double(g, "ND")
+
+
+def test_double_rejects_the_empty_graph():
+    with pytest.raises(EmptyGraph):
+        double(GainGraph(0), "ND")
 
 
 # -- toral tessellations and relatives -----------------------------------------
