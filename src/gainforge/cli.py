@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10_000_000)
     p.set_defaults(func=_cmd_dismantle)
 
-    p = sub.add_parser("search", help="anneal for a two-eigenvalue gain function")
+    p = sub.add_parser("search", help="search for a two-eigenvalue gain function")
     cfg = search_mod.SearchConfig()
     p.add_argument("--underlying", required=True)
     p.add_argument("--t0", type=float, default=cfg.t0)
@@ -321,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snap", type=int, default=cfg.snap_order)
     p.add_argument("--target-spectrum",
                    help="file of whitespace-separated target eigenvalues")
-    p.add_argument("--trace", help="write per-temperature best-f CSV here")
+    p.add_argument("--trace", help="write per-temperature best-f CSV here "
+                   "(only the header when the local solve needed no annealing)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_search)
 

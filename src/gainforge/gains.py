@@ -426,7 +426,8 @@ def switching_isomorphic(g1: GainGraph, g2: GainGraph,
         if i == g1.n:
             return True
         u = order[i]
-        for v in range(g2.n):
+        # only neighbours of the image of u's first placed neighbour can pass
+        for v in adj2[perm[links[i][0][0]]] if i else range(g2.n):
             if used[v] or keys1[u] != keys2[v]:
                 continue
             if any((w in set1[u]) != (perm[w] in set2[v]) for w in order[:i]):

@@ -1,12 +1,13 @@
-"""Simulated annealing over gain functions on a fixed underlying graph.
+"""Search for two-eigenvalue gain functions on a fixed underlying graph.
 
 The state space is a torus: one free angle per non-tree edge (a spanning
 tree can always be switched to gain 1, so its edges are pinned).  The
 objective drops to zero exactly when the gain matrix has at most two
-distinct eigenvalues, so annealing it is a direct search for new
-examples.  Converged runs are polished by an alternating-projection
-refinement and, when the gains land on low-order roots of unity, snapped
-to an exact certified graph.
+distinct eigenvalues.  ``run_search`` solves locally first, by
+Levenberg–Marquardt (``refine_gains``) from each chain's seeded start,
+and falls back to simulated annealing (``anneal``), polished by the same
+solve.  Converged results whose gains land on low-order roots of unity
+are snapped to an exact certified graph.
 
 Objectives are scored in stacks: an objective maps a ``(k, n, n)`` stack
 of Hermitian matrices to ``k`` values (the built-in ones also map a
@@ -106,6 +107,8 @@ class SearchResult:
     best_f: float
     snapped: Optional[GainGraph] = None
     snapped_cert: Optional[TwoEvCertificate] = None
+    # the trace and the counters describe the annealing: empty and 0 when
+    # run_search's local solve converged without it
     trace: list = field(default_factory=list)   # (temperature, best_f) rows
     seed: int = 0
     evaluations: int = 0    # matrices the annealer scored, speculative ones included
@@ -138,6 +141,12 @@ _MAX_BLOCK = 32
 _DRAW_CHUNK = 4096      # uniforms drawn per refill of a chain's buffer
 
 
+def _seeded_start(m: int, seed: int):
+    """The generator of the chain seeded with seed, and its first draw: m start angles."""
+    rng = np.random.default_rng(seed)
+    return rng, rng.uniform(0.0, 2.0 * math.pi, size=m)
+
+
 def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
                   objective: Objective, seed: int):
     """One Metropolis chain; returns best_f, best_angles, trace and counters.
@@ -152,7 +161,7 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
     a block without an acceptance and halves after one with, is capped at
     _MAX_BLOCK and never crosses a temperature.
     """
-    rng = np.random.default_rng(seed)
+    rng, angles = _seeded_start(len(free), seed)
     m = len(free)
     S = np.zeros((_MAX_BLOCK, n, n), dtype=complex)
     for u, v in tree:
@@ -163,7 +172,6 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
     upper = rows + np.array([u * n + v for u, v in free], dtype=int)
     lower = rows + np.array([v * n + u for u, v in free], dtype=int)
 
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=m)
     z = np.exp(1j * angles)
     flat[upper[0]] = z
     flat[lower[0]] = z.conj()
@@ -243,37 +251,65 @@ def anneal(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
 
 # -- distillation -----------------------------------------------------------------
 
-def refine_gains(g: GainGraph, max_iter: int = 200) -> GainGraph:
-    """Alternating projection between two-eigenvalue matrices and unit gains.
+def _residual(A: np.ndarray, fu: np.ndarray, fv: np.ndarray):
+    """R = A^2 - aA - kI and its (m, n, n) derivatives in the angles of edges (fu, fv).
 
-    Project the spectrum onto its two cluster means, rebuild, then push
-    the entries back onto the unit circle over the original support.
-    Inherits the support and only polishes phases.
+    k = tr A^2 / n (constant on unit gains) and a = tr A^3 / tr A^2; as
+    tr A = 0, R = 0 exactly when A has at most two distinct eigenvalues.
+    dA/dθ_e = i z_e E_uv - i conj(z_e) E_vu, d tr A^3 = 3 tr(A^2 dA) and
+    dR = dA A + A dA - da A - a dA.
     """
+    n, m = len(A), len(fu)
+    tr2 = np.vdot(A, A).real
+    A2 = A @ A
+    a = np.vdot(A2, A).real / tr2
+    R = A2 - a * A
+    R.flat[::n + 1] -= tr2 / n
+    z = A[fu, fv]
+    dA = np.zeros((m, n, n), dtype=complex)
+    dA[np.arange(m), fu, fv] = 1j * z
+    dA[np.arange(m), fv, fu] = -1j * z.conj()
+    da = -6.0 * (z * A2[fv, fu]).imag / tr2
+    return R, dA @ A + A @ dA - da[:, None, None] * A - a * dA
+
+
+def refine_gains(g: GainGraph, max_iter: int = 200) -> GainGraph:
+    """Levenberg–Marquardt solve for two eigenvalues over the non-tree angles.
+
+    Switches g to its spanning-tree normal form (the tree the annealer
+    pins) and minimises ||R|| of _residual, one damped Gauss–Newton trial
+    step per iteration.  Returns the tree-normal graph at the best angles.
+    """
+    g, _ = normalize_spanning_tree(g)
+    tree, free = _edge_layout(g)
+    if not free:            # a tree: there is nothing to move
+        return g
+    fu, fv = np.array(free).T
     A = g.matrix()
-    edges = sorted(g.gains.keys())
-    n = g.n
+    tol = (1e-13 * len(g.gains)) ** 2      # ||R|| <= 5e-14 ||A||^2, as ||A||^2 = 2 |E|
+
+    def at(theta):
+        z = np.exp(1j * theta)
+        A[fu, fv] = z
+        A[fv, fu] = z.conj()
+        R, dR = _residual(A, fu, fv)
+        J = dR.reshape(len(dR), -1)
+        return np.vdot(R, R).real, (J.conj() @ J.T).real, (J.conj() @ R.reshape(-1)).real
+
+    theta = np.array([np.angle(g.gains[e].value) for e in free])
+    cost, H, grad = at(theta)
+    lam = 1e-3
     for _ in range(max_iter):
-        evs, V = np.linalg.eigh(A)
-        gaps = np.diff(evs)
-        split = int(np.argmax(gaps)) + 1
-        target = evs.copy()
-        target[:split] = evs[:split].mean()
-        target[split:] = evs[split:].mean()
-        B = (V * target) @ V.conj().T
-        A_next = np.zeros_like(A)
-        for u, v in edges:
-            z = B[u, v]
-            if abs(z) < 1e-14:
-                z = A[u, v]
-            z /= abs(z)
-            A_next[u, v] = z
-            A_next[v, u] = z.conjugate()
-        delta = float(np.linalg.norm(A_next - A))
-        A = A_next
-        if delta < 1e-15:
+        if cost <= tol or lam > 1e12:
             break
-    return build(n, [(u, v, Gain.numeric(complex(A[u, v]), tol=1e-6)) for u, v in edges])
+        trial = theta - np.linalg.solve(H + lam * np.eye(len(theta)), grad)
+        cost_t, H_t, grad_t = at(trial)
+        if cost_t < cost:
+            theta, cost, H, grad = trial, cost_t, H_t, grad_t
+            lam = max(lam / 3.0, 1e-12)
+        else:
+            lam *= 10.0
+    return _graph_from_state(g.n, tree, free, theta)
 
 
 def snap_gains(g: GainGraph, Q: int = 24) -> Optional[GainGraph]:
@@ -307,17 +343,26 @@ def snap_gains(g: GainGraph, Q: int = 24) -> Optional[GainGraph]:
 
 def run_search(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
                objective: Objective = objective_two_ev) -> SearchResult:
-    """anneal, then distill: refine the best state and snap if possible."""
-    result = anneal(underlying, cfg, objective)
-    refined = refine_gains(result.best_gains)
-    # the spectral projection wanders along the switching orbit, so pull
-    # the result back to its tree-normal representative: free-edge gains
-    # become cycle gains, which is what snapping can bite on
-    refined, _ = normalize_spanning_tree(refined)
-    refined_f = _score(objective, refined.matrix()[None])[0]
-    if refined_f < result.best_f:
-        result.best_gains, result.best_f = refined, refined_f
-        result.status = "Converged" if refined_f < cfg.epsilon else "Exhausted"
+    """refine_gains from each chain's seeded start; anneal and refine if none converges.
+
+    "Converged" means the objective of best_gains is below cfg.epsilon; a
+    converged run is snapped to low-order roots of unity if they re-certify.
+    """
+    tree, free = _edge_layout(underlying)
+    for i in range(cfg.chains):
+        _, angles = _seeded_start(len(free), cfg.seed + i)
+        g = refine_gains(_graph_from_state(underlying.n, tree, free, angles))
+        f = _score(objective, g.matrix()[None])[0]
+        if f < cfg.epsilon:
+            result = SearchResult("Converged", g, f, seed=cfg.seed)
+            break
+    else:
+        result = anneal(underlying, cfg, objective)
+        refined = refine_gains(result.best_gains)
+        refined_f = _score(objective, refined.matrix()[None])[0]
+        if refined_f < result.best_f:
+            result.best_gains, result.best_f = refined, refined_f
+            result.status = "Converged" if refined_f < cfg.epsilon else "Exhausted"
     if result.status == "Converged":
         snapped = snap_gains(result.best_gains, cfg.snap_order)
         if snapped is not None:

@@ -243,9 +243,8 @@ def test_search_converges_and_writes_artifacts(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert stdout.startswith("Converged best_f=")
     assert "seed=1" in stdout.splitlines()[0]
-    rows = trace.read_text().splitlines()
-    assert rows[0] == "temperature,best_f"
-    assert len(rows) > 2
+    # the local solve converged, so nothing was annealed
+    assert trace.read_text().splitlines() == ["temperature,best_f"]
     g = parse_gaingraph(out.read_text())
     assert certify_two_ev(g).theta1 == pytest.approx(math.sqrt(2), abs=1e-9)
 
@@ -268,10 +267,16 @@ def test_search_exhausted_exit_code(tmp_path, capsys):
     edges = [(u, v, one) for u in range(8) for v in range(u + 1, 8)
              if (v - u) % 8 not in (1, 7)]
     path = write_graph(tmp_path, build(8, edges), "c8c.gg")
+    trace = tmp_path / "trace.csv"
     code = main(["search", "--underlying", path,
-                 "--t0", "1", "--alpha", "0.9", "--iters", "500", "--seed", "0"])
+                 "--t0", "1", "--alpha", "0.9", "--iters", "500", "--seed", "0",
+                 "--trace", str(trace)])
     assert code == 3
     assert capsys.readouterr().out.startswith("Exhausted")
+    # the local solve fails, so the whole schedule is annealed: 0.9^88 <= 1e-4 < 0.9^87
+    rows = trace.read_text().splitlines()
+    assert rows[0] == "temperature,best_f"
+    assert len(rows) == 1 + 88
 
 
 # -- plumbing ---------------------------------------------------------------------

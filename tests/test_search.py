@@ -11,7 +11,7 @@ import pytest
 from gainforge import search
 from gainforge.constructions import catalog_entry, complete, toral
 from gainforge.errors import Disconnected, LengthMismatch
-from gainforge.gains import Gain, build, switching_isomorphic
+from gainforge.gains import Gain, build, switch, switching_isomorphic
 from gainforge.search import (
     SearchConfig,
     SearchResult,
@@ -247,16 +247,20 @@ def test_blocked_annealer_follows_the_one_at_a_time_chain(name):
 def test_block_cap_does_not_change_the_result(name, monkeypatch):
     support = SUPPORTS[name]()
     cfg = SearchConfig(seed=3, chains=2, **SHORT)
-    blocked = run_search(support, cfg)
+    blocked, blocked_annealed = run_search(support, cfg), anneal(support, cfg)
     monkeypatch.setattr(search, "_MAX_BLOCK", 1)
-    single = run_search(support, cfg)
+    single, single_annealed = run_search(support, cfg), anneal(support, cfg)
     assert (blocked.status, blocked.best_f, blocked.trace) == \
         (single.status, single.best_f, single.trace)
     assert np.array_equal(blocked.best_gains.matrix(), single.best_gains.matrix())
     assert (blocked.snapped is None) == (single.snapped is None)
     assert (blocked.steps, blocked.accepted) == (single.steps, single.accepted)
+    # the cap only touches anneal, which a locally solved run_search skips
+    assert (blocked_annealed.steps, blocked_annealed.accepted) == \
+        (single_annealed.steps, single_annealed.accepted)
     # one proposal per block: nothing speculative, plus one start per chain
-    assert single.evaluations == single.steps + cfg.chains <= blocked.evaluations
+    assert single_annealed.evaluations == single_annealed.steps + cfg.chains \
+        <= blocked_annealed.evaluations
 
 
 def test_counters_bound_each_other():
@@ -289,6 +293,82 @@ def test_a_tree_support_only_runs_the_cooling_schedule():
     best_f, _, trace = _reference_anneal(path, short)
     res = anneal(path, short)
     assert (res.best_f, res.trace) == (best_f, trace)
+
+
+# -- the local solve first, annealing as the fallback --------------------------------
+
+@pytest.mark.parametrize("name", ["cube", "octahedron"])
+def test_residual_jacobian_matches_central_differences(name):
+    support = SUPPORTS[name]()
+    tree, free = search._edge_layout(support)
+    fu, fv = np.array(free).T
+    rng = np.random.default_rng(8)
+    h = 1e-6
+
+    def residual(angles):
+        A = search._graph_from_state(support.n, tree, free, angles).matrix()
+        return search._residual(A, fu, fv)
+
+    for _ in range(3):
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=len(free))
+        _, dR = residual(angles)
+        assert dR.shape == (len(free), support.n, support.n)
+        for e in range(len(free)):
+            step = h * np.eye(len(free))[e]
+            central = (residual(angles + step)[0] - residual(angles - step)[0]) / (2 * h)
+            assert np.max(np.abs(dR[e] - central)) < 1e-7
+
+
+def test_refine_returns_the_tree_normal_graph():
+    support = SUPPORTS["octahedron"]()
+    tree, free = search._edge_layout(support)
+    _, angles = search._seeded_start(len(free), 0)
+    start = search._graph_from_state(support.n, tree, free, angles)
+    # a switch moves tree gains off 1 without changing the spectrum
+    s = [Gain.exact(v, 7) for v in range(support.n)]
+    refined = refine_gains(switch(start, s))
+    assert refined.support() == support.support()
+    assert all(refined.gain(u, v) == ONE for u, v in tree)
+    assert objective_two_ev(refined.matrix()) < 1e-9
+
+
+K33 = build(6, [(u, v, ONE) for u in range(3) for v in range(3, 6)])
+
+
+@pytest.mark.parametrize("name", ["C4", "K4", "K33", "octahedron"])
+def test_run_search_solves_known_supports_without_annealing(name):
+    support = K33 if name == "K33" else SUPPORTS[name]()
+    for seed in range(10):
+        res = run_search(support, SearchConfig(seed=seed, **QUICK))
+        assert res.status == "Converged" and res.best_f < 1e-6
+        assert res.trace == []
+        assert (res.evaluations, res.steps, res.accepted) == (0, 0, 0)
+        assert res.best_gains.support() == support.support()
+        h, tol = (res.snapped, 1e-9) if res.snapped is not None else (res.best_gains, 1e-5)
+        assert certify_two_ev(h, tol=tol) is not None
+
+
+# a path has no free angle, so its local solve has nothing to move
+@pytest.mark.parametrize("support", [octagon_complement(),
+                                     build(3, [(0, 1, ONE), (1, 2, ONE)])],
+                         ids=["octagon complement", "path"])
+def test_run_search_anneals_exactly_when_the_local_solve_fails(support):
+    cfg = SearchConfig(seed=1, chains=2, **SHORT)
+    res = run_search(support, cfg)
+    annealed = anneal(support, cfg)
+    assert res.trace == annealed.trace
+    assert (res.evaluations, res.steps, res.accepted) == \
+        (annealed.evaluations, annealed.steps, annealed.accepted)
+    assert res.status == "Exhausted" and res.best_f <= annealed.best_f
+
+
+def test_run_search_keeps_a_local_answer_only_if_the_objective_takes_it():
+    target = np.array([2.0, 0.0, 0.0, -2.0])
+    cfg = SearchConfig(seed=4, **QUICK)
+    res = run_search(c4(), cfg, objective=lambda A: objective_cospectral(A, target))
+    # the local solve finds the quarter-turn square, spectrum +-sqrt 2
+    assert res.steps > 0 and res.trace
+    assert res.status == "Converged" and res.best_f < 1e-6
 
 
 def test_cospectral_search_hits_a_prescribed_spectrum():
