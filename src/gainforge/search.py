@@ -15,6 +15,14 @@ single ``(n, n)`` matrix to a float).  The annealer uses this to score a
 block of speculative Metropolis proposals with one batched eigensolve;
 the trajectory it follows is the plain one-proposal-at-a-time chain, bit
 for bit, whatever the block size.
+
+A step costs one small eigensolve plus a fixed overhead of about twenty
+small numpy calls.  The built-in objectives call LAPACK through numpy's
+eigvalsh gufunc directly, since for an 8x8 matrix numpy's wrapper adds
+about half the cost of the solve.  Speculation cannot remove the solve:
+in a stack it still costs about three quarters of a single one per
+matrix, so at high acceptance, where most blocks end at their first
+proposal, extra speculative matrices cost more than they save.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LengthMismatch
 from .gains import Gain, GainGraph, _bfs_tree, build, normalize_spanning_tree
@@ -34,6 +43,26 @@ Objective = Callable[[np.ndarray], Union[float, np.ndarray]]
 
 # -- objectives -----------------------------------------------------------------
 
+def _raise_nonconvergence(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# np.linalg.eigvalsh's LAPACK gufunc: for one small matrix the wrapper's
+# checks and errstate cost about half as much as the solve.  The square
+# complex128 stacks the search builds skip them; other input keeps them.
+_EIGVALSH_LO = np.linalg._umath_linalg.eigvalsh_lo
+_COMPLEX = np.dtype(complex)
+
+
+@np.errstate(call=_raise_nonconvergence, invalid="call",
+             over="ignore", divide="ignore", under="ignore")
+def _eigvalsh(A: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(A), bit for bit and with the same errors."""
+    if A.dtype == _COMPLEX and A.ndim >= 2 and A.shape[-1] == A.shape[-2]:
+        return _EIGVALSH_LO(A, signature="D->d")
+    return np.linalg.eigvalsh(A)
+
+
 def objective_two_ev(A: np.ndarray) -> Union[float, np.ndarray]:
     """Frobenius norm of A^2 - (l1+ln)A + l1*ln*I, via the spectral form.
 
@@ -42,7 +71,7 @@ def objective_two_ev(A: np.ndarray) -> Union[float, np.ndarray]:
     distinct eigenvalues.  A ``(k, n, n)`` stack gives ``(k,)`` values,
     each equal to the single-matrix value.
     """
-    evs = np.linalg.eigvalsh(A)
+    evs = _eigvalsh(np.asarray(A))
     q = evs - evs[..., :1]
     q *= evs - evs[..., -1:]
     q *= q
@@ -52,11 +81,11 @@ def objective_two_ev(A: np.ndarray) -> Union[float, np.ndarray]:
 
 def objective_cospectral(A: np.ndarray, target: np.ndarray) -> Union[float, np.ndarray]:
     """Sum of squared deviations between the sorted spectra (stacks as above)."""
-    evs = np.linalg.eigvalsh(A)
+    evs = _eigvalsh(np.asarray(A))
     target = np.sort(np.asarray(target, dtype=float))
     if len(target) != evs.shape[-1]:
         raise LengthMismatch(f"target has {len(target)} values for order {evs.shape[-1]}")
-    vals = np.sum((evs - target) ** 2, axis=-1)
+    vals = np.add.reduce(np.square(evs - target), axis=-1)
     return float(vals) if evs.ndim == 1 else vals
 
 
@@ -171,8 +200,15 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
     rows = n * n * np.arange(_MAX_BLOCK)[:, None]
     upper = rows + np.array([u * n + v for u, v in free], dtype=int)
     lower = rows + np.array([v * n + u for u, v in free], dtype=int)
+    # by block size b: the first b slots' positions and their stack
+    blocks = [(upper[:b], lower[:b], S[:b]) for b in range(_MAX_BLOCK + 1)]
 
-    z = np.exp(1j * angles)
+    # the state and the proposals are carried as i times their angles:
+    # multiplying by i is exact, the imaginary parts are the angles and the
+    # real parts are +-0, which exp ignores, so a proposal is one addition
+    # away from its gains
+    phases = 1j * angles
+    z = np.exp(phases)
     flat[upper[0]] = z
     flat[lower[0]] = z.conj()
     f = _score(objective, S[:1])[0]
@@ -181,32 +217,36 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
     trace = []
     t = cfg.t0
     converged = f < cfg.epsilon
-    buf, pos, k = np.empty(0), 0, 1
+    # drawn up front, as the window of moves needs m draws: uniforms drawn
+    # in chunks are the same numbers as uniforms drawn one by one
+    buf, pos, k = rng.random(max(m + 1, _DRAW_CHUNK)), 0, 1
     while not converged:
         # with no free angle every proposal is the current state and is
         # accepted (exp(0) = 1) to no effect: only the cooling is left
         i = 0 if m else cfg.iters_per_temp
         step = math.pi * min(1.0, t)
         lo, span = -step, step - (-step)   # Generator.uniform(-step, step)
-        moves = lo + span * buf
+        # row r: i times the m angle steps drawn from buf[r] on
+        moves = sliding_window_view(1j * (lo + span * buf), m)
         while i < cfg.iters_per_temp:
             b = min(k, cfg.iters_per_temp - i)
             need = b * (m + 1)
             if pos + need > len(buf):
                 buf = np.concatenate((buf[pos:], rng.random(max(need, _DRAW_CHUNK))))
                 pos = 0
-                moves = lo + span * buf
-            P = angles + moves[pos:pos + need].reshape(b, m + 1)[:, :m]
-            Z = np.exp(1j * P)
-            flat[upper[:b]] = Z
-            flat[lower[:b]] = Z.conj()
-            vals = _score(objective, S[:b])
+                moves = sliding_window_view(1j * (lo + span * buf), m)
+            P = phases + moves[pos:pos + need:m + 1]
+            Z = np.exp(P)
+            up, low, stack = blocks[b]
+            flat[up] = Z
+            flat[low] = Z.conj()
+            vals = _score(objective, stack)
             evaluations += b
-            coins = buf[pos + m:pos + need:m + 1].tolist()
             for j, f_new in enumerate(vals):
                 downhill = f_new < f
+                coin = pos + j * (m + 1) + m
                 # f >= epsilon > 0 here, so the division below is safe
-                if downhill or coins[j] < math.exp((f - f_new) / (f * t)):
+                if downhill or buf.item(coin) < math.exp((f - f_new) / (f * t)):
                     break
             else:
                 pos, i, steps = pos + need, i + b, steps + b
@@ -216,9 +256,9 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
             pos += (j + 1) * (m + 1) - downhill
             i, steps, accepted = i + j + 1, steps + j + 1, accepted + 1
             k = max(k // 2, 1)
-            angles, f = P[j], f_new
+            phases, f = P[j], f_new
             if f < best_f:
-                best_f, best_angles = f, angles.copy()
+                best_f, best_angles = f, phases.imag.copy()
             if f < cfg.epsilon:
                 converged = True
                 break
@@ -278,7 +318,9 @@ def refine_gains(g: GainGraph, max_iter: int = 200) -> GainGraph:
 
     Switches g to its spanning-tree normal form (the tree the annealer
     pins) and minimises ||R|| of _residual, one damped Gauss–Newton trial
-    step per iteration.  Returns the tree-normal graph at the best angles.
+    step per iteration.  Stops at a residual of rounding size, or when a
+    step gains under a millionth of ||R||^2 or the damping passes 1e12.
+    Returns the tree-normal graph at the best angles.
     """
     g, _ = normalize_spanning_tree(g)
     tree, free = _edge_layout(g)
@@ -298,13 +340,16 @@ def refine_gains(g: GainGraph, max_iter: int = 200) -> GainGraph:
 
     theta = np.array([np.angle(g.gains[e].value) for e in free])
     cost, H, grad = at(theta)
-    lam = 1e-3
+    lam, gain = 1e-3, math.inf
     for _ in range(max_iter):
-        if cost <= tol or lam > 1e12:
+        # a step that gains under a millionth of the cost marks a stationary
+        # point with a nonzero residual: no solution nearby
+        if cost <= tol or gain < 1e-6 * cost or lam > 1e12:
             break
         trial = theta - np.linalg.solve(H + lam * np.eye(len(theta)), grad)
         cost_t, H_t, grad_t = at(trial)
         if cost_t < cost:
+            gain = cost - cost_t
             theta, cost, H, grad = trial, cost_t, H_t, grad_t
             lam = max(lam / 3.0, 1e-12)
         else:

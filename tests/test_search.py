@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,56 @@ def test_objectives_score_a_stack_like_its_matrices():
     assert isinstance(objective_two_ev(S[0]), float)
     assert isinstance(objective_cospectral(S[0], target), float)
     assert objective_two_ev(np.zeros((3, 0, 0))).shape == (3,)
+
+
+# the objectives as written on np.linalg.eigvalsh: the library's own
+# eigensolve and arithmetic must reproduce them bit for bit
+def _numpy_two_ev(A):
+    evs = np.linalg.eigvalsh(A)
+    q = evs - evs[..., :1]
+    q *= evs - evs[..., -1:]
+    q *= q
+    vals = np.sqrt(np.add.reduce(q, axis=-1))
+    return float(vals) if evs.ndim == 1 else vals
+
+
+def _numpy_cospectral(A, target):
+    evs = np.linalg.eigvalsh(A)
+    vals = np.sum((evs - np.sort(target)) ** 2, axis=-1)
+    return float(vals) if evs.ndim == 1 else vals
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
+def test_objectives_equal_their_numpy_formulas_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    target = rng.normal(size=n)
+    for k in (None, 1, 2, 32):
+        shape = (n, n) if k is None else (k, n, n)
+        for scale in (1e-3, 1.0, 1e3):
+            X = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            hermitian = X + np.swapaxes(X, -1, -2).conj()
+            for A in (hermitian, hermitian.real):
+                for got, want in ((objective_two_ev(A), _numpy_two_ev(A)),
+                                  (objective_cospectral(A, target), _numpy_cospectral(A, target))):
+                    assert type(got) is (float if k is None else np.ndarray)
+                    assert type(got) is type(want) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("objective", [objective_two_ev,
+                                       lambda A: objective_cospectral(A, np.zeros(4))],
+                         ids=["two_ev", "cospectral"])
+def test_objectives_raise_linalgerror_where_eigvalsh_does(objective):
+    bad = np.full((4, 4), np.nan, dtype=complex)
+    stack = np.stack([c4().matrix(), bad, c4().matrix()])
+    errstate = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # and no floating-point warning first
+        for A in (bad, stack, np.zeros((4, 3), dtype=complex)):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.eigvalsh(A)
+            with pytest.raises(np.linalg.LinAlgError):
+                objective(A)
+    assert np.geterr() == errstate
 
 
 @pytest.mark.parametrize("bad", [
@@ -222,7 +273,7 @@ def _reference_chain(n: int, tree: list, free: list, cfg: SearchConfig,
 
 def _reference_anneal(underlying, cfg):
     tree, free = search._edge_layout(underlying)
-    results = [_reference_chain(underlying.n, tree, free, cfg, objective_two_ev,
+    results = [_reference_chain(underlying.n, tree, free, cfg, _numpy_two_ev,
                                 cfg.seed + i) for i in range(cfg.chains)]
     best_f, best_angles, trace, _ = min(results, key=lambda r: r[0])
     return best_f, search._graph_from_state(underlying.n, tree, free, best_angles), trace
@@ -330,6 +381,26 @@ def test_refine_returns_the_tree_normal_graph():
     assert refined.support() == support.support()
     assert all(refined.gain(u, v) == ONE for u, v in tree)
     assert objective_two_ev(refined.matrix()) < 1e-9
+
+
+def test_refine_stops_at_a_stationary_point(monkeypatch):
+    # on the octagon complement, the search's negative control, these local
+    # solves end at stationary points with a nonzero residual; run until
+    # the damping limit, they take 1161 residuals
+    support = octagon_complement()
+    tree, free = search._edge_layout(support)
+    residual, calls = search._residual, []
+
+    def counted(*args):
+        calls.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(search, "_residual", counted)
+    for seed in range(10):
+        _, angles = search._seeded_start(len(free), seed)
+        refined = refine_gains(search._graph_from_state(support.n, tree, free, angles))
+        assert objective_two_ev(refined.matrix()) > 1.0
+    assert len(calls) < 700
 
 
 K33 = build(6, [(u, v, ONE) for u in range(3) for v in range(3, 6)])
