@@ -18,7 +18,7 @@ import numpy as np
 from . import constructions, fileio, lines as lines_mod, search as search_mod
 from .errors import GainForgeError
 from .fileio import _fmt
-from .gains import Gain, switching_equivalent, switching_isomorphic
+from .gains import SEARCH_BUDGET, Gain, switching_equivalent, switching_isomorphic
 from .spectral import certify_two_ev, eigenvalues
 
 EXIT_OK = 0
@@ -103,14 +103,8 @@ def _cmd_verify(args) -> int:
 
 
 def _witness_text(w) -> str:
-    diag = []
-    for gain in w.diagonal:
-        if gain.is_exact:
-            diag.append(f"rot {gain.angle.numerator}/{gain.angle.denominator}")
-        else:
-            diag.append(f"num {_fmt(gain.value.real)} {_fmt(gain.value.imag)}")
     return (f"perm {' '.join(str(p) for p in w.permutation)}\n"
-            f"diag {'; '.join(diag)}\n"
+            f"diag {'; '.join(fileio.format_gain(gain) for gain in w.diagonal)}\n"
             f"conjugated {str(w.conjugated).lower()}")
 
 
@@ -289,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso", help="switching isomorphism (relabeling allowed)")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("lines", help="line-system export/import/check")
@@ -305,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--find", action="store_true",
                    help="search for an orthonormal-basis partition")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
     p.set_defaults(func=_cmd_dismantle)
 
     p = sub.add_parser("search", help="search for a two-eigenvalue gain function")
@@ -334,10 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GainForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (GainForgeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

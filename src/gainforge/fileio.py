@@ -37,15 +37,16 @@ def _rows(text: str) -> list[tuple[int, list[str]]]:
 
 # -- gain graphs -----------------------------------------------------------------
 
+def format_gain(gain: Gain) -> str:
+    """``rot p/q`` for an exact gain, ``num re im`` for a numeric one."""
+    if gain.is_exact:
+        return f"rot {gain.angle.numerator}/{gain.angle.denominator}"
+    return f"num {_fmt(gain.value.real)} {_fmt(gain.value.imag)}"
+
+
 def serialize_gaingraph(g: GainGraph) -> str:
     out = ["gaingraph v1", f"n {g.n}"]
-    for u, v, gain in g.edges():
-        if gain.is_exact:
-            a = gain.angle
-            out.append(f"e {u} {v} rot {a.numerator}/{a.denominator}")
-        else:
-            z = gain.value
-            out.append(f"e {u} {v} num {_fmt(z.real)} {_fmt(z.imag)}")
+    out += [f"e {u} {v} {format_gain(gain)}" for u, v, gain in g.edges()]
     return "\n".join(out) + "\n"
 
 

@@ -43,6 +43,8 @@ from .errors import (
 )
 
 NUMERIC_EQ_TOL = 1e-9
+# node expansions a budgeted search may spend before it raises Timeout
+SEARCH_BUDGET = 10_000_000
 
 
 # -- unit gains -----------------------------------------------------------
@@ -217,12 +219,12 @@ def build(n: int, edges: list[tuple[int, int, Gain]]) -> GainGraph:
     return GainGraph(n, gains)
 
 
-def from_matrix(A: np.ndarray, zero_tol: float = 1e-8,
-                unit_tol: float = 1e-6) -> GainGraph:
+def from_matrix(A: np.ndarray) -> GainGraph:
     """Read a gain graph off a Hermitian matrix with unit-or-zero entries.
 
-    Entries with modulus below ``zero_tol`` are non-edges; the rest must
-    be within ``unit_tol`` of the unit circle and are normalized onto it.
+    The matrix must be Hermitian to 1e-9.  Entries of modulus at most
+    1e-8 are non-edges; the rest must be within 1e-6 of the unit circle
+    and are normalized onto it.
     """
     n = A.shape[0]
     if np.max(np.abs(A - A.conj().T)) > 1e-9:
@@ -232,9 +234,9 @@ def from_matrix(A: np.ndarray, zero_tol: float = 1e-8,
         for v in range(u + 1, n):
             z = complex(A[u, v])
             r = abs(z)
-            if r <= zero_tol:
+            if r <= 1e-8:
                 continue
-            if abs(r - 1.0) > unit_tol:
+            if abs(r - 1.0) > 1e-6:
                 raise NonUnitGain(f"entry ({u},{v}) has modulus {r}")
             gains[(u, v)] = Gain.numeric(z / r)
     return GainGraph(n, gains)
@@ -360,15 +362,17 @@ def _diagonal_entry(dw: Gain, hwu: Gain, gwv: Gain) -> Gain:
     return dw * hwu.conj() * gwv
 
 
-def switching_equivalent(g1: GainGraph, g2: GainGraph,
-                         tol: float = NUMERIC_EQ_TOL) -> Optional[SwitchingWitness]:
-    """Witness that a diagonal switch alone maps g1 onto g2, if one exists."""
+def switching_equivalent(g1: GainGraph, g2: GainGraph) -> Optional[SwitchingWitness]:
+    """Witness that a diagonal switch alone maps g1 onto g2, if one exists.
+
+    Numeric gains match when they lie within NUMERIC_EQ_TOL of each other.
+    """
     if g1.n != g2.n or g1.support() != g2.support():
         raise SupportMismatch("graphs must share their underlying support")
     d = [ONE] * g1.n
     for u, v in _bfs_tree(g1):
         d[v] = _diagonal_entry(d[u], g1.gain(u, v), g2.gain(u, v))
-    if not all(gn.close(g2.gains[e], tol) for e, gn in switch(g1, d).gains.items()):
+    if not all(gn.close(g2.gains[e]) for e, gn in switch(g1, d).gains.items()):
         return None
     return SwitchingWitness(list(range(g1.n)), d, False)
 
@@ -378,7 +382,7 @@ def _neighbor_degree_key(adj: list[list[int]], deg: list[int], u: int) -> tuple:
 
 
 def switching_isomorphic(g1: GainGraph, g2: GainGraph,
-                         budget: int = 10_000_000,
+                         budget: int = SEARCH_BUDGET,
                          tol: float = NUMERIC_EQ_TOL) -> Optional[SwitchingWitness]:
     """Search for a switching isomorphism (switch + relabel + optional converse).
 
@@ -511,8 +515,11 @@ def structure_stats(g: GainGraph) -> StructureStats:
     )
 
 
-def max_coclique(g: GainGraph, budget: int = 10_000_000) -> tuple[int, list[int]]:
-    """Exact maximum independent set of the support, by branch and bound."""
+def max_coclique(g: GainGraph) -> tuple[int, list[int]]:
+    """Exact maximum independent set of the support, by branch and bound.
+
+    Raises Timeout past SEARCH_BUDGET node expansions.
+    """
     n = g.n
     nbr = [0] * n
     for (u, v) in g.gains:
@@ -525,8 +532,8 @@ def max_coclique(g: GainGraph, budget: int = 10_000_000) -> tuple[int, list[int]
     def bb(cand: int, cur: int, size: int) -> None:
         nonlocal best_size, best_set, expansions
         expansions += 1
-        if expansions > budget:
-            raise Timeout(f"coclique search exceeded {budget} expansions")
+        if expansions > SEARCH_BUDGET:
+            raise Timeout(f"coclique search exceeded {SEARCH_BUDGET} expansions")
         if size > best_size:
             best_size, best_set = size, cur
         if cand == 0 or size + bin(cand).count("1") <= best_size:
@@ -537,7 +544,11 @@ def max_coclique(g: GainGraph, budget: int = 10_000_000) -> tuple[int, list[int]
         bb(cand & ~bit & ~nbr[v], cur | bit, size + 1)
         bb(cand & ~bit, cur, size)
 
-    bb((1 << n) - 1, 0, 0)
+    try:
+        bb((1 << n) - 1, 0, 0)
+    finally:
+        # bb refers to itself; without this its state outlives the call until gc runs
+        del bb
     return best_size, list(_bits(best_set))
 
 

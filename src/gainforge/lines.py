@@ -32,7 +32,7 @@ from .errors import (
     Timeout,
     UnknownName,
 )
-from .gains import ONE, Gain, GainGraph, build, max_coclique
+from .gains import ONE, SEARCH_BUDGET, Gain, GainGraph, build, max_coclique
 from .spectral import TwoEvCertificate, certify_two_ev
 
 _PHI = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
@@ -108,7 +108,9 @@ class AngleProfile:
     alpha: Optional[float]
 
 
-def angle_profile(system: LineSystem, tol: float = 1e-8) -> AngleProfile:
+def angle_profile(system: LineSystem) -> AngleProfile:
+    """Cluster the off-diagonal |inner products|; values within 1e-8 are one angle."""
+    tol = 1e-8
     G = np.abs(system.gram())
     off = np.sort(G[~np.eye(system.count, dtype=bool)])
     values: list[float] = []
@@ -539,17 +541,11 @@ def dismantle(system: LineSystem, partition: list[list[int]],
     return DismantleResult(reports, union_graphs, union_certs)
 
 
-def _orthogonality_masks(system: LineSystem, tol: float = 1e-8) -> list[int]:
-    G = np.abs(system.gram())
-    n = system.count
-    masks = []
-    for u in range(n):
-        mask = 0
-        for v in range(n):
-            if v != u and G[u, v] <= tol:
-                mask |= 1 << v
-        masks.append(mask)
-    return masks
+def _orthogonality_masks(system: LineSystem) -> list[int]:
+    """Bitmask per column of the other columns within 1e-8 of orthogonal to it."""
+    near = np.abs(system.gram()) <= 1e-8
+    np.fill_diagonal(near, False)
+    return [sum(1 << int(v) for v in np.flatnonzero(row)) for row in near]
 
 
 class _Budget:
@@ -587,7 +583,11 @@ def _cover_search(masks: list[int], m: int, uncovered: int,
                 return found
         return None
 
-    found = extend([c], masks[c] & uncovered & ~((1 << (c + 1)) - 1))
+    try:
+        found = extend([c], masks[c] & uncovered & ~((1 << (c + 1)) - 1))
+    finally:
+        # extend refers to itself; without this its state outlives the call until gc runs
+        del extend
     if found is None and stop_after is not None:
         # partial mode need not cover every column; drop c and carry on
         return _cover_search(masks, m, uncovered & ~(1 << c), parts, budget, stop_after)
@@ -595,7 +595,7 @@ def _cover_search(masks: list[int], m: int, uncovered: int,
 
 
 def find_basis_partition(system: LineSystem,
-                         budget: int = 10_000_000) -> Optional[list[list[int]]]:
+                         budget: int = SEARCH_BUDGET) -> Optional[list[list[int]]]:
     """Search for a partition of the columns into orthonormal bases.
 
     Returns the partition, or None when the exhaustive search proves none
@@ -609,9 +609,11 @@ def find_basis_partition(system: LineSystem,
     return _cover_search(masks, m, (1 << n) - 1, [], _Budget(budget), None)
 
 
-def find_partial_bases(system: LineSystem, count: int,
-                       budget: int = 10_000_000) -> Optional[list[list[int]]]:
-    """Best-effort: find ``count`` pairwise-disjoint orthonormal bases."""
+def find_partial_bases(system: LineSystem, count: int) -> Optional[list[list[int]]]:
+    """Best-effort: find ``count`` pairwise-disjoint orthonormal bases.
+
+    Raises Timeout past SEARCH_BUDGET search steps.
+    """
     masks = _orthogonality_masks(system)
     n = system.count
-    return _cover_search(masks, system.dim, (1 << n) - 1, [], _Budget(budget), count)
+    return _cover_search(masks, system.dim, (1 << n) - 1, [], _Budget(SEARCH_BUDGET), count)

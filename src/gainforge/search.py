@@ -313,13 +313,14 @@ def _residual(A: np.ndarray, fu: np.ndarray, fv: np.ndarray):
     return R, dA @ A + A @ dA - da[:, None, None] * A - a * dA
 
 
-def refine_gains(g: GainGraph, max_iter: int = 200) -> GainGraph:
+def refine_gains(g: GainGraph) -> GainGraph:
     """Levenberg–Marquardt solve for two eigenvalues over the non-tree angles.
 
     Switches g to its spanning-tree normal form (the tree the annealer
     pins) and minimises ||R|| of _residual, one damped Gauss–Newton trial
-    step per iteration.  Stops at a residual of rounding size, or when a
-    step gains under a millionth of ||R||^2 or the damping passes 1e12.
+    step per iteration, for at most 200 iterations.  Stops earlier at a
+    residual of rounding size, or when a step gains under a millionth of
+    ||R||^2 or the damping passes 1e12.
     Returns the tree-normal graph at the best angles.
     """
     g, _ = normalize_spanning_tree(g)
@@ -341,7 +342,7 @@ def refine_gains(g: GainGraph, max_iter: int = 200) -> GainGraph:
     theta = np.array([np.angle(g.gains[e].value) for e in free])
     cost, H, grad = at(theta)
     lam, gain = 1e-3, math.inf
-    for _ in range(max_iter):
+    for _ in range(200):
         # a step that gains under a millionth of the cost marks a stationary
         # point with a nonzero residual: no solution nearby
         if cost <= tol or gain < 1e-6 * cost or lam > 1e12:

@@ -139,11 +139,10 @@ class IntegerAChecks:
     consistent: bool
 
 
-def _is_perfect_square(x: float, tol: float = 1e-6) -> bool:
-    if x < -tol:
-        return False
+def _is_perfect_square(x: float) -> bool:
+    """Whether x is within 1e-6 of the square of an integer."""
     r = round(math.sqrt(max(x, 0.0)))
-    return abs(r * r - x) <= tol
+    return abs(r * r - x) <= 1e-6
 
 
 def integer_a_checks(cert: TwoEvCertificate, n: int) -> IntegerAChecks:
@@ -158,14 +157,14 @@ def integer_a_checks(cert: TwoEvCertificate, n: int) -> IntegerAChecks:
     return IntegerAChecks(a_int, sq1, sq2, consistent)
 
 
-def rank(g: GainGraph, tol: float = 1e-9) -> int:
-    """Number of eigenvalues exceeding tol * ||A||_F in magnitude."""
+def rank(g: GainGraph) -> int:
+    """Number of eigenvalues exceeding 1e-9 * ||A||_F in magnitude."""
     A = g.matrix()
     norm = float(np.linalg.norm(A))
     if norm == 0.0:
         return 0
     evs = np.linalg.eigvalsh(A)
-    return int(np.sum(np.abs(evs) > tol * norm))
+    return int(np.sum(np.abs(evs) > 1e-9 * norm))
 
 
 # -- characteristic polynomial from elementary subgraphs ---------------------
@@ -173,20 +172,19 @@ def rank(g: GainGraph, tol: float = 1e-9) -> int:
 # det(xI - A) = sum_i c_i x^(n-i) where c_i collects every subgraph H on i
 # vertices whose components are single edges or cycles, weighted by
 # (-1)^(#components) * 2^(#cycles) * prod_cycles Re(gain).  Computed by a
-# memoized deletion recursion on vertex subsets (bitmasks): the lowest
-# vertex of a subset is covered either by one of its edges or by a cycle
-# through it.
+# deletion recurrence on vertex subsets (bitmasks): the lowest vertex of a
+# subset is covered either by one of its edges or by a cycle through it.
 
-def char_poly_elementary(g: GainGraph, n_limit: int = 12) -> list[float]:
+def char_poly_elementary(g: GainGraph) -> list[float]:
     """Coefficients [c_0, ..., c_n] of det(xI - A), c_0 = 1.
 
     Enumerates elementary subgraphs instead of calling an eigensolver,
-    so it serves as an independent oracle.  Exponential in n; refuses
-    n > n_limit.
+    so it serves as an independent oracle.  Exponential in n; raises
+    TooLarge for n > 12.
     """
     n = g.n
-    if n > n_limit:
-        raise TooLarge(f"n = {n} exceeds the enumeration limit {n_limit}")
+    if n > 12:
+        raise TooLarge(f"n = {n} exceeds the enumeration limit 12")
     adj = [0] * n
     gain_val: dict[tuple[int, int], complex] = {}
     for (u, v), gn in g.gains.items():
@@ -195,42 +193,37 @@ def char_poly_elementary(g: GainGraph, n_limit: int = 12) -> list[float]:
         gain_val[(u, v)] = gn.value
         gain_val[(v, u)] = gn.value.conjugate()
 
-    memo: dict[int, float] = {0: 1.0}
+    # covers[mask]: summed weight over elementary subgraphs covering exactly
+    # mask.  Each term reads a strict submask, so increasing order has it ready.
+    covers = [1.0] + [0.0] * ((1 << n) - 1)
+    coeffs = [1.0] + [0.0] * n
 
-    def covers(mask: int) -> float:
-        """Summed weight over elementary subgraphs covering exactly mask."""
-        got = memo.get(mask)
-        if got is not None:
-            return got
+    def paths(node: int, used: int, prod: complex, first: int) -> float:
+        """Cycles through v inside mask that extend the path v -> ... -> node."""
+        acc = 0.0
+        for u in _bits(adj[node] & mask & ~used):
+            p2 = prod * gain_val[(node, u)]
+            used2 = used | (1 << u)
+            # close the cycle back at v; count each cycle in one
+            # orientation only (first step < last step)
+            if (adj[u] >> v) & 1 and used2.bit_count() >= 3 and first < u:
+                acc += -2.0 * (p2 * gain_val[(u, v)]).real * covers[mask & ~used2]
+            acc += paths(u, used2, p2, first)
+        return acc
+
+    for mask in range(1, 1 << n):
         total = 0.0
         v = (mask & -mask).bit_length() - 1
         rest = mask & ~(1 << v)
         for u in _bits(adj[v] & rest):
-            total -= covers(rest & ~(1 << u))
-
-        def paths(node: int, used: int, prod: complex, first: int) -> float:
-            acc = 0.0
-            for u in _bits(adj[node] & mask & ~used):
-                p2 = prod * gain_val[(node, u)]
-                used2 = used | (1 << u)
-                # close the cycle back at v; count each cycle in one
-                # orientation only (first step < last step)
-                if (adj[u] >> v) & 1 and used2.bit_count() >= 3 and first < u:
-                    acc += -2.0 * (p2 * gain_val[(u, v)]).real * covers(mask & ~used2)
-                acc += paths(u, used2, p2, first)
-            return acc
-
+            total -= covers[rest & ~(1 << u)]
         for u1 in _bits(adj[v] & rest):
-            total += paths(u1, (1 << v) | (1 << u1),
-                           gain_val[(v, u1)], u1)
-        memo[mask] = total
-        return total
-
-    coeffs = [0.0] * (n + 1)
-    for mask in range(1 << n):
-        w = covers(mask)
-        if w:
-            coeffs[mask.bit_count()] += w
+            total += paths(u1, (1 << v) | (1 << u1), gain_val[(v, u1)], u1)
+        covers[mask] = total
+        if total:
+            coeffs[mask.bit_count()] += total
+    # paths refers to itself; without this its state outlives the call until gc runs
+    del paths
     return coeffs
 
 

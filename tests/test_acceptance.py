@@ -103,7 +103,7 @@ def _certified_catalog():
 
 def test_criterion_01_catalog_spectra():
     problems = []
-    rows, ok = catalog_verify_all(tol=1e-8, draws=5)
+    rows, ok = catalog_verify_all(tol=1e-8)
     if not ok:
         problems += [r for r in rows[1:] if r.endswith("FAIL")]
     degree4 = [e for e in catalog() if "degree4" in e.tags]

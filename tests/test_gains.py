@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gainforge.constructions import fixed_catalog
 from gainforge.errors import (
     DuplicateEdge,
     Disconnected,
@@ -38,6 +39,8 @@ from gainforge.gains import (
     switching_equivalent,
     switching_isomorphic,
 )
+from gainforge.lines import find_basis_partition, find_partial_bases, geometry_lines
+from gainforge.spectral import char_poly_elementary
 
 ONE = Gain.exact(0, 1)
 I_G = Gain.exact(1, 4)
@@ -164,6 +167,19 @@ def test_from_matrix_rejects_non_unit_entry():
     A[1, 0] = 0.5
     with pytest.raises(NonUnitGain):
         from_matrix(A)
+
+
+def _edge_matrix(z: complex) -> np.ndarray:
+    return np.array([[0, z], [np.conj(z), 0]], dtype=complex)
+
+
+def test_from_matrix_thresholds():
+    # entries of modulus at most 1e-8 are non-edges; the rest must lie
+    # within 1e-6 of the unit circle
+    assert from_matrix(_edge_matrix(5e-9)).gains == {}
+    assert from_matrix(_edge_matrix(1 + 5e-7)).gain(0, 1).close(ONE)
+    with pytest.raises(NonUnitGain):
+        from_matrix(_edge_matrix(1 + 5e-6))
 
 
 def test_cycle_gain_around_square():
@@ -318,16 +334,35 @@ def test_switching_isomorphic_raises_timeout_past_its_budget():
         switching_isomorphic(g, h, budget=2 * 66 - 1)
 
 
-def test_switching_isomorphic_leaves_no_reference_cycles():
+_HEXAGON = build(6, [(v, (v + 1) % 6, ONE) for v in range(6)])
+_HEXAGON_FLIPPED = build(6, [(v, (v + 1) % 6, ONE if v else -ONE) for v in range(6)])
+_K8STAR = fixed_catalog("K8star")
+_MUB_C3 = geometry_lines("MUB_C3", t=4)
+_SEARCHES = {
+    "iso-found": lambda: switching_isomorphic(_HEXAGON, _HEXAGON, budget=10 ** 6),
+    "iso-none": lambda: switching_isomorphic(_HEXAGON, _HEXAGON_FLIPPED, budget=10 ** 6),
+    "iso-timeout": lambda: switching_isomorphic(_HEXAGON, _HEXAGON_FLIPPED, budget=1),
+    "char-poly": lambda: char_poly_elementary(_K8STAR),
+    "coclique": lambda: max_coclique(_K8STAR),
+    "basis-partition": lambda: find_basis_partition(_MUB_C3),
+    "basis-partition-timeout": lambda: find_basis_partition(_MUB_C3, budget=1),
+    "partial-bases": lambda: find_partial_bases(_MUB_C3, count=2),
+}
+
+
+@pytest.mark.parametrize("call", _SEARCHES.values(), ids=_SEARCHES.keys())
+def test_searches_leave_no_reference_cycles(call):
     # the search state must be freed on return, not left for the cycle
-    # collector: on a 40-vertex graph it held ~400 KB per call
-    g = build(6, [(v, (v + 1) % 6, ONE) for v in range(6)])
-    h = build(6, [(v, (v + 1) % 6, ONE if v else -ONE) for v in range(6)])
+    # collector: on a 40-vertex graph switching_isomorphic held ~400 KB
+    # per call, and char_poly_elementary on K8star 1,339 objects
     gc.collect()
-    for other, budget in ((g, 10 ** 6), (h, 10 ** 6), (h, 1)):
+    gc.disable()
+    try:
         with contextlib.suppress(Timeout):
-            switching_isomorphic(g, other, budget=budget)
+            call()
         assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,4 +1,5 @@
-"""Every name a module imports at module level is used in that module."""
+"""Every name a module imports at module level is used in that module, and
+every module-level private name in the package is referenced somewhere."""
 
 from __future__ import annotations
 
@@ -9,8 +10,9 @@ import pytest
 
 import gainforge
 
-MODULES = sorted(p for p in Path(gainforge.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(gainforge.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -30,3 +32,42 @@ def test_no_unused_module_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` functions, classes and constants -> their line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update({t.id: node.lineno for t in targets if isinstance(t, ast.Name)})
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names read, attributes read and names imported anywhere in a module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def test_no_unreferenced_private_module_names():
+    # what a simplification leaves behind: a helper nothing calls any more
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+               *(ROOT / "bench").glob("*.py")]
+    refs = set().union(*(_referenced(ast.parse(p.read_text(), filename=str(p)))
+                         for p in sources))
+    dead = {f"{path.name}:{line} {name}"
+            for path in MODULES
+            for name, line in _private_definitions(ast.parse(path.read_text())).items()
+            if name not in refs}
+    assert not dead, f"module-level private names nothing references: {sorted(dead)}"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gainforge.constructions import complete, ig, named_weighing, _graph_from_entries
-from gainforge.errors import EmptyGraph, InvalidParameters
+from gainforge.errors import EmptyGraph, InvalidParameters, TooLarge
 from gainforge.gains import Gain, build, switch
 from gainforge.spectral import (
     certify_two_ev,
@@ -151,6 +151,13 @@ def test_char_poly_routes_agree_on_random_gains():
     a = char_poly_elementary(g)
     b = char_poly_from_eigenvalues(eigenvalues(g).eigenvalues)
     assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-8
+
+
+def test_char_poly_refuses_more_than_twelve_vertices():
+    ring = [(v, (v + 1) % 12, ONE) for v in range(12)]
+    assert len(char_poly_elementary(build(12, ring))) == 13
+    with pytest.raises(TooLarge):
+        char_poly_elementary(build(13, ring))
 
 
 def test_rank_of_rank_two_graph():
