@@ -66,7 +66,6 @@ from .lines import (
     bounds_check,
     dismantle,
     find_basis_partition,
-    find_partial_bases,
     gain_to_lines,
     geometry_lines,
     lines_to_gain,

@@ -51,7 +51,7 @@ def _parse_param(spec: str) -> tuple[str, Gain]:
     if value.startswith("num:"):
         re_s, im_s = value[4:].split(",", 1)
         z = complex(float(re_s), float(im_s))
-        if abs(abs(z) - 1.0) > 1e-6:
+        if not abs(abs(z) - 1.0) <= 1e-6:
             raise ValueError(f"parameter {name} has modulus {abs(z)}, need 1")
         return name, Gain.numeric(z / abs(z), tol=1e-9)
     raise ValueError(f"parameter value {value!r} must start with rot: or num:")

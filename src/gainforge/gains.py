@@ -86,7 +86,7 @@ class Gain:
     @classmethod
     def numeric(cls, z: complex, tol: float = 1e-12) -> "Gain":
         z = complex(z)
-        if abs(abs(z) - 1.0) > tol:
+        if not abs(abs(z) - 1.0) <= tol:      # NaN fails too
             raise NonUnitGain(f"|z| = {abs(z)!r} is not 1 within {tol}")
         return cls(None, z)
 
@@ -227,7 +227,7 @@ def from_matrix(A: np.ndarray) -> GainGraph:
     and are normalized onto it.
     """
     n = A.shape[0]
-    if np.max(np.abs(A - A.conj().T)) > 1e-9:
+    if not np.max(np.abs(A - A.conj().T)) <= 1e-9:
         raise NonUnitGain("matrix is not Hermitian")
     gains: dict[tuple[int, int], Gain] = {}
     for u in range(n):
@@ -236,7 +236,7 @@ def from_matrix(A: np.ndarray) -> GainGraph:
             r = abs(z)
             if r <= 1e-8:
                 continue
-            if abs(r - 1.0) > 1e-6:
+            if not abs(r - 1.0) <= 1e-6:
                 raise NonUnitGain(f"entry ({u},{v}) has modulus {r}")
             gains[(u, v)] = Gain.numeric(z / r)
     return GainGraph(n, gains)

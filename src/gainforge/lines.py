@@ -56,9 +56,9 @@ class LineSystem:
         if self.matrix.ndim != 2:
             raise BadParam("line system matrix must be 2-dimensional")
         norms = np.linalg.norm(self.matrix, axis=0)
-        bad = np.where(np.abs(norms - 1.0) > 1e-9)[0]
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))     # NaN fails too
         if bad.size:
-            raise NormViolation(f"column {bad[0]} has norm {norms[bad[0]]!r}")
+            raise NormViolation(f"column {bad[0]} has norm {norms.item(bad[0])!r}")
         if self.declared_angle is not None:
             G = np.abs(self.gram())
             off = G[~np.eye(self.count, dtype=bool)]
@@ -559,9 +559,8 @@ class _Budget:
 
 
 def _cover_search(masks: list[int], m: int, uncovered: int,
-                  parts: list[list[int]], budget: _Budget,
-                  stop_after: Optional[int]) -> Optional[list[list[int]]]:
-    if uncovered == 0 or (stop_after is not None and len(parts) >= stop_after):
+                  parts: list[list[int]], budget: _Budget) -> Optional[list[list[int]]]:
+    if uncovered == 0:
         return [list(p) for p in parts]
     budget.spend()
     c = (uncovered & -uncovered).bit_length() - 1
@@ -570,7 +569,7 @@ def _cover_search(masks: list[int], m: int, uncovered: int,
         if len(members) == m:
             parts.append(members)
             found = _cover_search(masks, m, uncovered & ~sum(1 << v for v in members),
-                                  parts, budget, stop_after)
+                                  parts, budget)
             parts.pop()
             return found
         budget.spend()
@@ -584,14 +583,10 @@ def _cover_search(masks: list[int], m: int, uncovered: int,
         return None
 
     try:
-        found = extend([c], masks[c] & uncovered & ~((1 << (c + 1)) - 1))
+        return extend([c], masks[c] & uncovered & ~((1 << (c + 1)) - 1))
     finally:
         # extend refers to itself; without this its state outlives the call until gc runs
         del extend
-    if found is None and stop_after is not None:
-        # partial mode need not cover every column; drop c and carry on
-        return _cover_search(masks, m, uncovered & ~(1 << c), parts, budget, stop_after)
-    return found
 
 
 def find_basis_partition(system: LineSystem,
@@ -606,14 +601,4 @@ def find_basis_partition(system: LineSystem,
     if n % m != 0:
         raise BadParam(f"{n} columns cannot split into bases of size {m}")
     masks = _orthogonality_masks(system)
-    return _cover_search(masks, m, (1 << n) - 1, [], _Budget(budget), None)
-
-
-def find_partial_bases(system: LineSystem, count: int) -> Optional[list[list[int]]]:
-    """Best-effort: find ``count`` pairwise-disjoint orthonormal bases.
-
-    Raises Timeout past SEARCH_BUDGET search steps.
-    """
-    masks = _orthogonality_masks(system)
-    n = system.count
-    return _cover_search(masks, system.dim, (1 << n) - 1, [], _Budget(SEARCH_BUDGET), count)
+    return _cover_search(masks, m, (1 << n) - 1, [], _Budget(budget))

@@ -9,27 +9,19 @@ and falls back to simulated annealing (``anneal``), polished by the same
 solve.  Converged results whose gains land on low-order roots of unity
 are snapped to an exact certified graph.
 
-Objectives are scored in stacks: an objective maps a ``(k, n, n)`` stack
-of Hermitian matrices to ``k`` values (the built-in ones also map a
-single ``(n, n)`` matrix to a float).  The annealer uses this to score a
-block of speculative Metropolis proposals with one batched eigensolve;
-the trajectory it follows is the plain one-proposal-at-a-time chain, bit
-for bit, whatever the block size.
-
-A step costs one small eigensolve plus a fixed overhead of about twenty
-small numpy calls.  The built-in objectives call LAPACK through numpy's
-eigvalsh gufunc directly, since for an 8x8 matrix numpy's wrapper adds
-about half the cost of the solve.  Speculation cannot remove the solve:
-in a stack it still costs about three quarters of a single one per
-matrix, so at high acceptance, where most blocks end at their first
-proposal, extra speculative matrices cost more than they save.
+An objective is any callable that maps one Hermitian ``(n, n)`` matrix
+to a real number.  A Metropolis step costs one proposal, one objective
+call and one acceptance test: one small eigensolve plus a fixed
+overhead of about twenty small numpy calls.  The built-in objectives
+call LAPACK through numpy's eigvalsh gufunc directly, since for an 8x8
+matrix numpy's wrapper adds about half the cost of the solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,7 +30,7 @@ from .errors import LengthMismatch
 from .gains import Gain, GainGraph, _bfs_tree, build, normalize_spanning_tree
 from .spectral import TwoEvCertificate, certify_two_ev
 
-Objective = Callable[[np.ndarray], Union[float, np.ndarray]]
+Objective = Callable[[np.ndarray], float]
 
 
 # -- objectives -----------------------------------------------------------------
@@ -49,7 +41,7 @@ def _raise_nonconvergence(err: str, flag: int) -> None:
 
 # np.linalg.eigvalsh's LAPACK gufunc: for one small matrix the wrapper's
 # checks and errstate cost about half as much as the solve.  The square
-# complex128 stacks the search builds skip them; other input keeps them.
+# complex128 matrices the search builds skip them; other input keeps them.
 _EIGVALSH_LO = np.linalg._umath_linalg.eigvalsh_lo
 _COMPLEX = np.dtype(complex)
 
@@ -63,40 +55,27 @@ def _eigvalsh(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(A)
 
 
-def objective_two_ev(A: np.ndarray) -> Union[float, np.ndarray]:
+def objective_two_ev(A: np.ndarray) -> float:
     """Frobenius norm of A^2 - (l1+ln)A + l1*ln*I, via the spectral form.
 
     For Hermitian A the matrix has eigenvalues (l - l1)(l - ln), so the
     norm is computable from the spectrum alone; zero iff at most two
-    distinct eigenvalues.  A ``(k, n, n)`` stack gives ``(k,)`` values,
-    each equal to the single-matrix value.
+    distinct eigenvalues.
     """
     evs = _eigvalsh(np.asarray(A))
-    q = evs - evs[..., :1]
-    q *= evs - evs[..., -1:]
+    q = evs - evs[:1]
+    q *= evs - evs[-1:]
     q *= q
-    vals = np.sqrt(np.add.reduce(q, axis=-1))
-    return float(vals) if evs.ndim == 1 else vals
+    return float(np.sqrt(np.add.reduce(q)))
 
 
-def objective_cospectral(A: np.ndarray, target: np.ndarray) -> Union[float, np.ndarray]:
-    """Sum of squared deviations between the sorted spectra (stacks as above)."""
+def objective_cospectral(A: np.ndarray, target: np.ndarray) -> float:
+    """Sum of squared deviations between the sorted spectra."""
     evs = _eigvalsh(np.asarray(A))
     target = np.sort(np.asarray(target, dtype=float))
-    if len(target) != evs.shape[-1]:
-        raise LengthMismatch(f"target has {len(target)} values for order {evs.shape[-1]}")
-    vals = np.add.reduce(np.square(evs - target), axis=-1)
-    return float(vals) if evs.ndim == 1 else vals
-
-
-def _score(objective: Objective, stack: np.ndarray) -> list:
-    """The objective's values on a (k, n, n) stack, as k Python floats."""
-    vals = np.asarray(objective(stack), dtype=float)
-    if vals.shape != (len(stack),):
-        raise LengthMismatch(
-            f"objective returned shape {vals.shape} for a stack of {len(stack)} "
-            "matrices; it must map a (k, n, n) stack to k values")
-    return vals.tolist()
+    if len(target) != len(evs):
+        raise LengthMismatch(f"target has {len(target)} values for order {len(evs)}")
+    return float(np.add.reduce(np.square(evs - target)))
 
 
 # -- configuration and results ----------------------------------------------------
@@ -140,8 +119,7 @@ class SearchResult:
     # run_search's local solve converged without it
     trace: list = field(default_factory=list)   # (temperature, best_f) rows
     seed: int = 0
-    evaluations: int = 0    # matrices the annealer scored, speculative ones included
-    steps: int = 0          # Metropolis steps taken
+    steps: int = 0          # Metropolis steps taken, one objective call each
     accepted: int = 0       # accepted moves
 
 
@@ -163,10 +141,6 @@ def _graph_from_state(n: int, tree: list, free: list, angles: np.ndarray) -> Gai
     return build(n, edges)
 
 
-# Largest block of speculative proposals scored at once.  Any cap gives
-# the same trajectory; the cap bounds the work that a block cut short by
-# an early acceptance throws away.
-_MAX_BLOCK = 32
 _DRAW_CHUNK = 4096      # uniforms drawn per refill of a chain's buffer
 
 
@@ -180,28 +154,20 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
                   objective: Objective, seed: int):
     """One Metropolis chain; returns best_f, best_angles, trace and counters.
 
-    Proposals are scored in blocks.  Each proposal of a block starts from
-    the current state, as if every one before it were rejected; the block
-    is scanned in order and cut at the first acceptance, and the rest is
-    discarded with its random draws.  The draws come from one buffer read
-    in the order of the one-at-a-time chain (m step draws per proposal,
-    then an acceptance draw unless the proposal goes downhill), so the
-    trajectory is that chain's, bit for bit.  The block size doubles after
-    a block without an acceptance and halves after one with, is capped at
-    _MAX_BLOCK and never crosses a temperature.
+    Each step scores one proposal and makes one Metropolis test.  The
+    uniforms come from one buffer refilled in chunks and read in the order
+    of one-by-one draws (m step draws per proposal, then an acceptance draw
+    unless the proposal goes downhill): they are the same numbers.
     """
     rng, angles = _seeded_start(len(free), seed)
     m = len(free)
-    S = np.zeros((_MAX_BLOCK, n, n), dtype=complex)
+    A = np.zeros((n, n), dtype=complex)
     for u, v in tree:
-        S[:, u, v] = S[:, v, u] = 1.0
-    # flat positions of each block slot's free entries above and below the diagonal
-    flat = S.reshape(-1)
-    rows = n * n * np.arange(_MAX_BLOCK)[:, None]
-    upper = rows + np.array([u * n + v for u, v in free], dtype=int)
-    lower = rows + np.array([v * n + u for u, v in free], dtype=int)
-    # by block size b: the first b slots' positions and their stack
-    blocks = [(upper[:b], lower[:b], S[:b]) for b in range(_MAX_BLOCK + 1)]
+        A[u, v] = A[v, u] = 1.0
+    # flat positions of the free entries above and below the diagonal
+    flat = A.reshape(-1)
+    upper = np.array([u * n + v for u, v in free], dtype=int)
+    lower = np.array([v * n + u for u, v in free], dtype=int)
 
     # the state and the proposals are carried as i times their angles:
     # multiplying by i is exact, the imaginary parts are the angles and the
@@ -209,64 +175,52 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
     # away from its gains
     phases = 1j * angles
     z = np.exp(phases)
-    flat[upper[0]] = z
-    flat[lower[0]] = z.conj()
-    f = _score(objective, S[:1])[0]
+    flat[upper] = z
+    flat[lower] = z.conj()
+    f = objective(A)
     best_f, best_angles = f, angles.copy()
-    evaluations, steps, accepted = 1, 0, 0
+    steps = accepted = 0
     trace = []
     t = cfg.t0
     converged = f < cfg.epsilon
     # drawn up front, as the window of moves needs m draws: uniforms drawn
     # in chunks are the same numbers as uniforms drawn one by one
-    buf, pos, k = rng.random(max(m + 1, _DRAW_CHUNK)), 0, 1
+    buf, pos = rng.random(max(m + 1, _DRAW_CHUNK)), 0
     while not converged:
-        # with no free angle every proposal is the current state and is
-        # accepted (exp(0) = 1) to no effect: only the cooling is left
-        i = 0 if m else cfg.iters_per_temp
         step = math.pi * min(1.0, t)
         lo, span = -step, step - (-step)   # Generator.uniform(-step, step)
         # row r: i times the m angle steps drawn from buf[r] on
         moves = sliding_window_view(1j * (lo + span * buf), m)
-        while i < cfg.iters_per_temp:
-            b = min(k, cfg.iters_per_temp - i)
-            need = b * (m + 1)
-            if pos + need > len(buf):
-                buf = np.concatenate((buf[pos:], rng.random(max(need, _DRAW_CHUNK))))
+        # with no free angle every proposal is the current state and is
+        # accepted (exp(0) = 1) to no effect: only the cooling is left
+        for _ in range(cfg.iters_per_temp if m else 0):
+            if pos + m + 1 > len(buf):
+                buf = np.concatenate((buf[pos:], rng.random(max(m + 1, _DRAW_CHUNK))))
                 pos = 0
                 moves = sliding_window_view(1j * (lo + span * buf), m)
-            P = phases + moves[pos:pos + need:m + 1]
+            P = phases + moves[pos]
             Z = np.exp(P)
-            up, low, stack = blocks[b]
-            flat[up] = Z
-            flat[low] = Z.conj()
-            vals = _score(objective, stack)
-            evaluations += b
-            for j, f_new in enumerate(vals):
-                downhill = f_new < f
-                coin = pos + j * (m + 1) + m
-                # f >= epsilon > 0 here, so the division below is safe
-                if downhill or buf.item(coin) < math.exp((f - f_new) / (f * t)):
+            flat[upper] = Z
+            flat[lower] = Z.conj()
+            f_new = objective(A)
+            steps += 1
+            coin = pos + m
+            # a downhill move never reads its acceptance draw
+            pos = coin + (not f_new < f)
+            # f >= epsilon > 0 here, so the division below is safe
+            if f_new < f or buf.item(coin) < math.exp((f - f_new) / (f * t)):
+                accepted += 1
+                phases, f = P, f_new
+                if f < best_f:
+                    best_f, best_angles = f, phases.imag.copy()
+                if f < cfg.epsilon:
+                    converged = True
                     break
-            else:
-                pos, i, steps = pos + need, i + b, steps + b
-                k = min(2 * k, _MAX_BLOCK)
-                continue
-            # a downhill move never read its acceptance draw
-            pos += (j + 1) * (m + 1) - downhill
-            i, steps, accepted = i + j + 1, steps + j + 1, accepted + 1
-            k = max(k // 2, 1)
-            phases, f = P[j], f_new
-            if f < best_f:
-                best_f, best_angles = f, phases.imag.copy()
-            if f < cfg.epsilon:
-                converged = True
-                break
         trace.append((t, best_f))
         t *= cfg.alpha
         if t <= cfg.tau:
             break
-    return best_f, best_angles, trace, (evaluations, steps, accepted)
+    return best_f, best_angles, trace, (steps, accepted)
 
 
 def anneal(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
@@ -275,18 +229,18 @@ def anneal(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
 
     The trace logs (temperature, best_f) once per cooling step of the
     winning chain; the counters sum over all chains.  Deterministic for
-    a fixed config, and independent of how proposals are blocked.
+    a fixed config.
     """
     tree, free = _edge_layout(underlying)
     n = underlying.n
     results = [_anneal_chain(n, tree, free, cfg, objective, cfg.seed + i)
                for i in range(cfg.chains)]
     best_f, best_angles, trace, _ = min(results, key=lambda r: r[0])
-    evaluations, steps, accepted = (sum(c) for c in zip(*(r[3] for r in results)))
+    steps, accepted = (sum(c) for c in zip(*(r[3] for r in results)))
     g = _graph_from_state(n, tree, free, best_angles)
     status = "Converged" if best_f < cfg.epsilon else "Exhausted"
     return SearchResult(status, g, best_f, trace=trace, seed=cfg.seed,
-                        evaluations=evaluations, steps=steps, accepted=accepted)
+                        steps=steps, accepted=accepted)
 
 
 # -- distillation -----------------------------------------------------------------
@@ -358,11 +312,12 @@ def refine_gains(g: GainGraph) -> GainGraph:
     return _graph_from_state(g.n, tree, free, theta)
 
 
-def snap_gains(g: GainGraph, Q: int = 24) -> Optional[GainGraph]:
+def snap_gains(g: GainGraph, Q: int = 24) -> Optional[tuple[GainGraph, TwoEvCertificate]]:
     """Replace each gain by the nearest root of unity of order at most Q.
 
     Gains further than 1e-3 radians from every such root abort the snap.
-    The snapped graph must re-certify at tol 1e-9 or None is returned.
+    Returns the snapped graph with its certificate at tol 1e-9, or None
+    if it does not re-certify.
     """
     edges = []
     for (u, v), gn in sorted(g.gains.items()):
@@ -382,9 +337,8 @@ def snap_gains(g: GainGraph, Q: int = 24) -> Optional[GainGraph]:
         else:
             return None
     snapped = build(g.n, edges)
-    if certify_two_ev(snapped, tol=1e-9) is None:
-        return None
-    return snapped
+    cert = certify_two_ev(snapped, tol=1e-9)
+    return None if cert is None else (snapped, cert)
 
 
 def run_search(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
@@ -398,20 +352,19 @@ def run_search(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
     for i in range(cfg.chains):
         _, angles = _seeded_start(len(free), cfg.seed + i)
         g = refine_gains(_graph_from_state(underlying.n, tree, free, angles))
-        f = _score(objective, g.matrix()[None])[0]
+        f = objective(g.matrix())
         if f < cfg.epsilon:
             result = SearchResult("Converged", g, f, seed=cfg.seed)
             break
     else:
         result = anneal(underlying, cfg, objective)
         refined = refine_gains(result.best_gains)
-        refined_f = _score(objective, refined.matrix()[None])[0]
+        refined_f = objective(refined.matrix())
         if refined_f < result.best_f:
             result.best_gains, result.best_f = refined, refined_f
             result.status = "Converged" if refined_f < cfg.epsilon else "Exhausted"
     if result.status == "Converged":
-        snapped = snap_gains(result.best_gains, cfg.snap_order)
-        if snapped is not None:
-            result.snapped = snapped
-            result.snapped_cert = certify_two_ev(snapped, tol=1e-9)
+        snap = snap_gains(result.best_gains, cfg.snap_order)
+        if snap is not None:
+            result.snapped, result.snapped_cert = snap
     return result

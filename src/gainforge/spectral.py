@@ -157,16 +157,6 @@ def integer_a_checks(cert: TwoEvCertificate, n: int) -> IntegerAChecks:
     return IntegerAChecks(a_int, sq1, sq2, consistent)
 
 
-def rank(g: GainGraph) -> int:
-    """Number of eigenvalues exceeding 1e-9 * ||A||_F in magnitude."""
-    A = g.matrix()
-    norm = float(np.linalg.norm(A))
-    if norm == 0.0:
-        return 0
-    evs = np.linalg.eigvalsh(A)
-    return int(np.sum(np.abs(evs) > 1e-9 * norm))
-
-
 # -- characteristic polynomial from elementary subgraphs ---------------------
 #
 # det(xI - A) = sum_i c_i x^(n-i) where c_i collects every subgraph H on i

@@ -61,6 +61,14 @@ def test_construct_bad_parameter_syntax(capsys):
     assert main(["construct", "T6", "--param", "x=1/8"]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan,0", "0,nan"])
+def test_construct_rejects_a_nan_parameter(value, tmp_path, capsys):
+    out = tmp_path / "t6.gg"
+    assert main(["construct", "T6", "--param", f"x=num:{value}", "-o", str(out)]) == 2
+    assert "modulus" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name,param", [("K8star", "x"), ("T6", "y")])
 def test_construct_rejects_a_parameter_the_entry_does_not_take(name, param, capsys):
     assert main(["construct", name, "--param", f"{param}=rot:1/8"]) == 2
@@ -81,6 +89,16 @@ def test_verify_pass_line_format(tmp_path, capsys):
     assert float(fields["theta2"]) == pytest.approx(-math.sqrt(3))
     assert fields["m"] == "2"
     assert float(fields["residual"]) < 1e-9
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_a_nan_gain_in_a_file_is_rejected_as_non_unit(command, tmp_path, capsys):
+    path = tmp_path / "nan.gg"
+    path.write_text("gaingraph v1\nn 3\ne 0 1 num nan 0\ne 0 2 rot 0/1\ne 1 2 rot 0/1\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "|z| = nan is not 1" in captured.err
 
 
 def test_verify_fail_line_and_exit_code(tmp_path, capsys):
@@ -208,6 +226,15 @@ def test_lines_check_flags_a_loose_system(tmp_path, capsys):
     lpath.write_text(serialize_lines(LineSystem(cols)))
     assert main(["lines", "check", str(lpath)]) == 4
     assert "tight false" in capsys.readouterr().out
+
+
+def test_lines_check_rejects_a_nan_column(tmp_path, capsys):
+    lpath = tmp_path / "nan.lines"
+    lpath.write_text("lines v1\ndim 2\ncount 2\nv 0 1 0 0 0\nv 1 nan 0 0 0\n")
+    assert main(["lines", "check", str(lpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "column 1 has norm nan" in captured.err
 
 
 # -- dismantle ---------------------------------------------------------------------

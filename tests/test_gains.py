@@ -39,7 +39,7 @@ from gainforge.gains import (
     switching_equivalent,
     switching_isomorphic,
 )
-from gainforge.lines import find_basis_partition, find_partial_bases, geometry_lines
+from gainforge.lines import find_basis_partition, geometry_lines
 from gainforge.spectral import char_poly_elementary
 
 ONE = Gain.exact(0, 1)
@@ -68,6 +68,12 @@ def test_numeric_gain_must_be_unit():
     # on the circle it is fine
     z = complex(math.cos(0.3), math.sin(0.3))
     assert Gain.numeric(z).value == z
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+def test_numeric_gain_rejects_nan(z):
+    with pytest.raises(NonUnitGain):
+        Gain.numeric(z, tol=1e-6)
 
 
 def test_gain_product_stays_exact():
@@ -180,6 +186,15 @@ def test_from_matrix_thresholds():
     assert from_matrix(_edge_matrix(1 + 5e-7)).gain(0, 1).close(ONE)
     with pytest.raises(NonUnitGain):
         from_matrix(_edge_matrix(1 + 5e-6))
+
+
+def test_from_matrix_rejects_nan_entries():
+    nan_diagonal = _edge_matrix(1.0)
+    nan_diagonal[0, 0] = math.nan
+    for A in (_edge_matrix(complex(math.nan, 0.0)), _edge_matrix(complex(0.0, math.nan)),
+              nan_diagonal):
+        with pytest.raises(NonUnitGain):
+            from_matrix(A)
 
 
 def test_cycle_gain_around_square():
@@ -346,7 +361,6 @@ _SEARCHES = {
     "coclique": lambda: max_coclique(_K8STAR),
     "basis-partition": lambda: find_basis_partition(_MUB_C3),
     "basis-partition-timeout": lambda: find_basis_partition(_MUB_C3, budget=1),
-    "partial-bases": lambda: find_partial_bases(_MUB_C3, count=2),
 }
 
 

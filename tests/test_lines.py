@@ -25,7 +25,6 @@ from gainforge.lines import (
     bounds_check,
     dismantle,
     find_basis_partition,
-    find_partial_bases,
     gain_to_lines,
     geometry_lines,
     lines_to_gain,
@@ -43,6 +42,11 @@ S3 = math.sqrt(3.0)
 def test_columns_must_be_unit():
     with pytest.raises(NormViolation):
         LineSystem(np.array([[1.0, 0.5], [0.0, 0.0]]))
+
+
+def test_a_nan_column_is_not_unit():
+    with pytest.raises(NormViolation, match="column 1 has norm nan"):
+        LineSystem(np.array([[1.0, np.nan], [0.0, 0.0]]))
 
 
 def test_declared_angle_is_enforced():
@@ -203,15 +207,6 @@ def test_find_basis_partition_rejects_indivisible_counts():
 def test_find_basis_partition_budget_raises_timeout():
     with pytest.raises(Timeout):
         find_basis_partition(geometry_lines("Witting"), budget=10)
-
-
-def test_find_partial_bases_on_st33():
-    s = geometry_lines("ST33")
-    parts = find_partial_bases(s, count=2)
-    assert parts is not None and len(parts) >= 2
-    for p in parts:
-        gram = s.take(p).gram()
-        assert np.allclose(gram, np.eye(5), atol=1e-8)
 
 
 # -- bounds ----------------------------------------------------------------------

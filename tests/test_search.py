@@ -47,6 +47,7 @@ SUPPORTS = {
     "octahedron": lambda: build(6, [(u, v, ONE) for u in range(6) for v in range(u + 1, 6)
                                     if {u, v} not in ({0, 1}, {2, 3}, {4, 5})]),
     "octagon complement": octagon_complement,
+    "K33": lambda: build(6, [(u, v, ONE) for u in range(3) for v in range(3, 6)]),
 }
 
 
@@ -75,54 +76,33 @@ def test_cospectral_objective():
         objective_cospectral(A, np.zeros(5))
 
 
-def test_objectives_score_a_stack_like_its_matrices():
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(7, 6, 6)) + 1j * rng.normal(size=(7, 6, 6))
-    S = X + X.conj().transpose(0, 2, 1)
-    target = np.linspace(-3.0, 3.0, 6)
-    two_ev = objective_two_ev(S)
-    cospectral = objective_cospectral(S, target)
-    assert two_ev.shape == cospectral.shape == (7,)
-    for i in range(7):
-        # exactly equal: a matrix's score must not depend on the block it is in
-        assert two_ev[i] == objective_two_ev(S[i])
-        assert cospectral[i] == objective_cospectral(S[i], target)
-    assert isinstance(objective_two_ev(S[0]), float)
-    assert isinstance(objective_cospectral(S[0], target), float)
-    assert objective_two_ev(np.zeros((3, 0, 0))).shape == (3,)
-
-
 # the objectives as written on np.linalg.eigvalsh: the library's own
 # eigensolve and arithmetic must reproduce them bit for bit
 def _numpy_two_ev(A):
     evs = np.linalg.eigvalsh(A)
-    q = evs - evs[..., :1]
-    q *= evs - evs[..., -1:]
+    q = evs - evs[:1]
+    q *= evs - evs[-1:]
     q *= q
-    vals = np.sqrt(np.add.reduce(q, axis=-1))
-    return float(vals) if evs.ndim == 1 else vals
+    return float(np.sqrt(np.add.reduce(q)))
 
 
 def _numpy_cospectral(A, target):
     evs = np.linalg.eigvalsh(A)
-    vals = np.sum((evs - np.sort(target)) ** 2, axis=-1)
-    return float(vals) if evs.ndim == 1 else vals
+    return float(np.sum((evs - np.sort(target)) ** 2))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
 def test_objectives_equal_their_numpy_formulas_bit_for_bit(n):
     rng = np.random.default_rng(n)
     target = rng.normal(size=n)
-    for k in (None, 1, 2, 32):
-        shape = (n, n) if k is None else (k, n, n)
+    for _ in range(4):
         for scale in (1e-3, 1.0, 1e3):
-            X = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-            hermitian = X + np.swapaxes(X, -1, -2).conj()
+            X = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            hermitian = X + X.T.conj()
             for A in (hermitian, hermitian.real):
                 for got, want in ((objective_two_ev(A), _numpy_two_ev(A)),
                                   (objective_cospectral(A, target), _numpy_cospectral(A, target))):
-                    assert type(got) is (float if k is None else np.ndarray)
-                    assert type(got) is type(want) and np.array_equal(got, want)
+                    assert type(got) is float and got == want
 
 
 @pytest.mark.parametrize("objective", [objective_two_ev,
@@ -130,26 +110,15 @@ def test_objectives_equal_their_numpy_formulas_bit_for_bit(n):
                          ids=["two_ev", "cospectral"])
 def test_objectives_raise_linalgerror_where_eigvalsh_does(objective):
     bad = np.full((4, 4), np.nan, dtype=complex)
-    stack = np.stack([c4().matrix(), bad, c4().matrix()])
     errstate = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # and no floating-point warning first
-        for A in (bad, stack, np.zeros((4, 3), dtype=complex)):
+        for A in (bad, np.zeros((4, 3), dtype=complex)):
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.eigvalsh(A)
             with pytest.raises(np.linalg.LinAlgError):
                 objective(A)
     assert np.geterr() == errstate
-
-
-@pytest.mark.parametrize("bad", [
-    lambda S: 0.0,                                  # one value for the block
-    lambda S: np.zeros(len(S) + 1),                 # one value too many
-    lambda S: np.zeros((len(S), 1)),                # values in a column
-])
-def test_an_objective_must_give_one_value_per_matrix(bad):
-    with pytest.raises(LengthMismatch, match="stack"):
-        anneal(c4(), SearchConfig(**QUICK), objective=bad)
 
 
 # -- configuration ----------------------------------------------------------------
@@ -225,8 +194,8 @@ def test_extra_chains_only_improve_the_result():
     assert multi.best_f <= base.best_f
 
 
-# the annealer as it was before proposals were scored in blocks: one
-# proposal, one eigensolve and one Metropolis test at a time
+# the annealer written plainly: one proposal, one eigensolve and one
+# Metropolis test at a time, each draw taken from the generator as needed
 def _reference_chain(n: int, tree: list, free: list, cfg: SearchConfig,
                      objective, seed: int):
     rng = np.random.default_rng(seed)
@@ -283,7 +252,7 @@ SHORT = dict(t0=1.0, alpha=0.75, iters_per_temp=120, tau=1e-3, epsilon=1e-6)
 
 
 @pytest.mark.parametrize("name", sorted(SUPPORTS))
-def test_blocked_annealer_follows_the_one_at_a_time_chain(name):
+def test_anneal_follows_the_reference_chain(name):
     support = SUPPORTS[name]()
     for seed, chains in [(0, 1), (1, 1), (2, 1), (5, 3)]:
         cfg = SearchConfig(seed=seed, chains=chains, **SHORT)
@@ -294,32 +263,20 @@ def test_blocked_annealer_follows_the_one_at_a_time_chain(name):
         assert np.array_equal(res.best_gains.matrix(), best_gains.matrix())
 
 
-@pytest.mark.parametrize("name", ["C4", "cube", "octagon complement"])
-def test_block_cap_does_not_change_the_result(name, monkeypatch):
-    support = SUPPORTS[name]()
-    cfg = SearchConfig(seed=3, chains=2, **SHORT)
-    blocked, blocked_annealed = run_search(support, cfg), anneal(support, cfg)
-    monkeypatch.setattr(search, "_MAX_BLOCK", 1)
-    single, single_annealed = run_search(support, cfg), anneal(support, cfg)
-    assert (blocked.status, blocked.best_f, blocked.trace) == \
-        (single.status, single.best_f, single.trace)
-    assert np.array_equal(blocked.best_gains.matrix(), single.best_gains.matrix())
-    assert (blocked.snapped is None) == (single.snapped is None)
-    assert (blocked.steps, blocked.accepted) == (single.steps, single.accepted)
-    # the cap only touches anneal, which a locally solved run_search skips
-    assert (blocked_annealed.steps, blocked_annealed.accepted) == \
-        (single_annealed.steps, single_annealed.accepted)
-    # one proposal per block: nothing speculative, plus one start per chain
-    assert single_annealed.evaluations == single_annealed.steps + cfg.chains \
-        <= blocked_annealed.evaluations
-
-
 def test_counters_bound_each_other():
     for name in ("C4", "octagon complement"):
         cfg = SearchConfig(seed=2, chains=2, **SHORT)
-        res = anneal(SUPPORTS[name](), cfg)
-        assert all(type(c) is int for c in (res.evaluations, res.steps, res.accepted))
-        assert 0 < res.accepted <= res.steps <= res.evaluations
+        calls = []
+
+        def counted(A):
+            calls.append(1)
+            return objective_two_ev(A)
+
+        res = anneal(SUPPORTS[name](), cfg, objective=counted)
+        assert all(type(c) is int for c in (res.steps, res.accepted))
+        assert 0 < res.accepted <= res.steps
+        # one objective call per step, plus one per chain for its start
+        assert len(calls) == res.steps + cfg.chains
     # an unconverged chain takes every step of its schedule
     res = anneal(octagon_complement(), SearchConfig(seed=2, **SHORT))
     assert res.status == "Exhausted"
@@ -338,7 +295,7 @@ def test_a_tree_support_only_runs_the_cooling_schedule():
     temps = math.ceil(math.log(QUICK["tau"]) / math.log(QUICK["alpha"]))
     assert len(res.trace) == temps
     assert res.trace == [(t, res.best_f) for t, _ in res.trace]
-    assert (res.evaluations, res.steps, res.accepted) == (1, 0, 0)
+    assert (res.steps, res.accepted) == (0, 0)
     assert elapsed < 1.0
     short = SearchConfig(seed=1, **SHORT)
     best_f, _, trace = _reference_anneal(path, short)
@@ -403,17 +360,14 @@ def test_refine_stops_at_a_stationary_point(monkeypatch):
     assert len(calls) < 700
 
 
-K33 = build(6, [(u, v, ONE) for u in range(3) for v in range(3, 6)])
-
-
 @pytest.mark.parametrize("name", ["C4", "K4", "K33", "octahedron"])
 def test_run_search_solves_known_supports_without_annealing(name):
-    support = K33 if name == "K33" else SUPPORTS[name]()
+    support = SUPPORTS[name]()
     for seed in range(10):
         res = run_search(support, SearchConfig(seed=seed, **QUICK))
         assert res.status == "Converged" and res.best_f < 1e-6
         assert res.trace == []
-        assert (res.evaluations, res.steps, res.accepted) == (0, 0, 0)
+        assert (res.steps, res.accepted) == (0, 0)
         assert res.best_gains.support() == support.support()
         h, tol = (res.snapped, 1e-9) if res.snapped is not None else (res.best_gains, 1e-5)
         assert certify_two_ev(h, tol=tol) is not None
@@ -428,8 +382,7 @@ def test_run_search_anneals_exactly_when_the_local_solve_fails(support):
     res = run_search(support, cfg)
     annealed = anneal(support, cfg)
     assert res.trace == annealed.trace
-    assert (res.evaluations, res.steps, res.accepted) == \
-        (annealed.evaluations, annealed.steps, annealed.accepted)
+    assert (res.steps, res.accepted) == (annealed.steps, annealed.accepted)
     assert res.status == "Exhausted" and res.best_f <= annealed.best_f
 
 
@@ -469,16 +422,16 @@ def test_snap_recovers_exact_roots_of_unity():
         (u, v, Gain.numeric(w.value * np.exp(2e-4j), tol=1e-3))
         for u, v, w in g.edges()
     ])
-    snapped = snap_gains(jig, Q=24)
-    assert snapped is not None
+    snapped, cert = snap_gains(jig, Q=24)
+    assert cert == certify_two_ev(snapped, tol=1e-9)
     for _, _, w in snapped.edges():
         assert w.is_exact
 
 
 def test_snap_returns_none_for_irrational_angles():
     g = catalog_entry("Renes7").build()
-    assert snap_gains(g, Q=24) is None or all(
-        w.is_exact for _, _, w in snap_gains(g, Q=24).edges())
+    snap = snap_gains(g, Q=24)
+    assert snap is None or all(w.is_exact for _, _, w in snap[0].edges())
     # the circulant presentation carries gains at irrational angles
     from gainforge.gains import normalize_spanning_tree
     h, _ = normalize_spanning_tree(g)
@@ -487,6 +440,18 @@ def test_snap_returns_none_for_irrational_angles():
 
 def test_snap_is_identity_on_exact_graphs():
     g = complete(4)
-    snapped = snap_gains(g, Q=24)
-    assert snapped is not None
+    snapped, _ = snap_gains(g, Q=24)
     assert np.array_equal(snapped.matrix(), g.matrix())
+
+
+def test_run_search_certifies_its_snapped_graph_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return certify_two_ev(*args, **kwargs)
+
+    monkeypatch.setattr(search, "certify_two_ev", counted)
+    res = run_search(c4(), SearchConfig(seed=0, **QUICK))
+    assert res.snapped is not None and res.snapped_cert is not None
+    assert len(calls) == 1
