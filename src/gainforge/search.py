@@ -1,20 +1,20 @@
 """Search for two-eigenvalue gain functions on a fixed underlying graph.
 
 The state space is a torus: one free angle per non-tree edge (a spanning
-tree can always be switched to gain 1, so its edges are pinned).  The
-objective drops to zero exactly when the gain matrix has at most two
-distinct eigenvalues.  ``run_search`` solves locally first, by
-Levenberg–Marquardt (``refine_gains``) from each chain's seeded start,
-and falls back to simulated annealing (``anneal``), polished by the same
-solve.  Converged results whose gains land on low-order roots of unity
-are snapped to an exact certified graph.
+tree can always be switched to gain 1, so its edges are pinned).  Both
+search stages work on one residual, R = A^2 - aA - kI fitted by least
+squares (``_fit``), which is zero exactly when the gain matrix has at most
+two distinct eigenvalues.  ``run_search`` solves locally first, by
+Levenberg–Marquardt on R (``refine_gains``) from each chain's seeded
+start, and falls back to simulated annealing on ||R||_F (``anneal``),
+polished by the same solve.  Converged results whose gains land on
+low-order roots of unity are snapped to an exact certified graph.
 
 An objective is any callable that maps one Hermitian ``(n, n)`` matrix
 to a real number.  A Metropolis step costs one proposal, one objective
-call and one acceptance test: one small eigensolve plus a fixed
-overhead of about twenty small numpy calls.  The built-in objectives
-call LAPACK through numpy's eigvalsh gufunc directly, since for an 8x8
-matrix numpy's wrapper adds about half the cost of the solve.
+call and one acceptance test; for ``objective_two_ev`` that is one small
+matmul and a few inner products, with no eigensolve.  Only
+``objective_cospectral`` solves for eigenvalues, with ``np.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -35,43 +35,51 @@ Objective = Callable[[np.ndarray], float]
 
 # -- objectives -----------------------------------------------------------------
 
-def _raise_nonconvergence(err: str, flag: int) -> None:
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def _fit(A: np.ndarray):
+    """R = A^2 - aA - kI, with A^2, a and tr A^2, for a Hermitian A with tr A = 0.
 
-
-# np.linalg.eigvalsh's LAPACK gufunc: for one small matrix the wrapper's
-# checks and errstate cost about half as much as the solve.  The square
-# complex128 matrices the search builds skip them; other input keeps them.
-_EIGVALSH_LO = np.linalg._umath_linalg.eigvalsh_lo
-_COMPLEX = np.dtype(complex)
-
-
-@np.errstate(call=_raise_nonconvergence, invalid="call",
-             over="ignore", divide="ignore", under="ignore")
-def _eigvalsh(A: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh(A), bit for bit and with the same errors."""
-    if A.dtype == _COMPLEX and A.ndim >= 2 and A.shape[-1] == A.shape[-2]:
-        return _EIGVALSH_LO(A, signature="D->d")
-    return np.linalg.eigvalsh(A)
+    a = tr A^3 / tr A^2 and k = tr A^2 / n fit A^2 by least squares on
+    span{A, I}, whose two vectors are orthogonal as tr A = 0; R = 0 exactly
+    when A has at most two distinct eigenvalues.  A = 0 gives a = k = 0.
+    """
+    n = len(A)
+    tr2 = np.vdot(A, A).real
+    A2 = A.dot(A)       # the same bits as A @ A, and for 8x8 about 0.4 us cheaper
+    a = k = 0.0
+    if tr2:
+        a, k = np.vdot(A2, A).real / tr2, tr2 / n
+    R = A2 - a * A
+    R.ravel("K")[::n + 1] -= k      # a view, as the new R is contiguous
+    return R, A2, a, tr2
 
 
 def objective_two_ev(A: np.ndarray) -> float:
-    """Frobenius norm of A^2 - (l1+ln)A + l1*ln*I, via the spectral form.
+    """||R||_F for R = A^2 - aA - kI, the least-squares residual of A^2 on span{A, I}.
 
-    For Hermitian A the matrix has eigenvalues (l - l1)(l - ln), so the
-    norm is computable from the spectrum alone; zero iff at most two
-    distinct eigenvalues.
+    Zero exactly when the Hermitian matrix A has at most two distinct
+    eigenvalues; ``refine_gains`` drives the same R to zero.  A is centred
+    first (shifting by a multiple of I leaves the span and R unchanged) and
+    R is formed by ``_fit``.  Raises LinAlgError on non-square input and
+    where R is not a number, as for NaN input.
     """
-    evs = _eigvalsh(np.asarray(A))
-    q = evs - evs[:1]
-    q *= evs - evs[-1:]
-    q *= q
-    return float(np.sqrt(np.add.reduce(q)))
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise np.linalg.LinAlgError("objective_two_ev needs one square matrix")
+    # a gain matrix has a zero diagonal and needs no centring; this test
+    # costs a quarter of the trace
+    if any(A.diagonal().tolist()):
+        n = len(A)
+        A = A - A.trace().real / n * np.eye(n)
+    R = _fit(A)[0]
+    f = math.sqrt(np.vdot(R, R).real)
+    if math.isnan(f):
+        raise np.linalg.LinAlgError("objective_two_ev input is not finite")
+    return f
 
 
 def objective_cospectral(A: np.ndarray, target: np.ndarray) -> float:
     """Sum of squared deviations between the sorted spectra."""
-    evs = _eigvalsh(np.asarray(A))
+    evs = np.linalg.eigvalsh(A)
     target = np.sort(np.asarray(target, dtype=float))
     if len(target) != len(evs):
         raise LengthMismatch(f"target has {len(target)} values for order {len(evs)}")
@@ -94,12 +102,13 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.t0 <= 0 or self.tau <= 0:
+        # NaN fails each check: a NaN or infinite t0 would never cool to tau
+        if not (self.t0 > 0 and self.tau > 0):
             raise ValueError(f"t0 and tau must be positive, got t0={self.t0}, tau={self.tau}")
-        if self.tau >= self.t0:
-            raise ValueError("tau must be below t0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not self.tau < self.t0 < math.inf:
+            raise ValueError(f"tau must be below t0 and t0 finite, got t0={self.t0}, tau={self.tau}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.iters_per_temp <= 0:
             raise ValueError("iters_per_temp must be positive")
         if self.chains < 1:
@@ -246,19 +255,15 @@ def anneal(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
 # -- distillation -----------------------------------------------------------------
 
 def _residual(A: np.ndarray, fu: np.ndarray, fv: np.ndarray):
-    """R = A^2 - aA - kI and its (m, n, n) derivatives in the angles of edges (fu, fv).
+    """R of _fit and its (m, n, n) derivatives in the angles of edges (fu, fv).
 
-    k = tr A^2 / n (constant on unit gains) and a = tr A^3 / tr A^2; as
-    tr A = 0, R = 0 exactly when A has at most two distinct eigenvalues.
+    A is a gain matrix: its diagonal is zero, so _fit takes it as it is.
+    k = tr A^2 / n is constant on unit gains, so only a moves:
     dA/dθ_e = i z_e E_uv - i conj(z_e) E_vu, d tr A^3 = 3 tr(A^2 dA) and
     dR = dA A + A dA - da A - a dA.
     """
     n, m = len(A), len(fu)
-    tr2 = np.vdot(A, A).real
-    A2 = A @ A
-    a = np.vdot(A2, A).real / tr2
-    R = A2 - a * A
-    R.flat[::n + 1] -= tr2 / n
+    R, A2, a, tr2 = _fit(A)
     z = A[fu, fv]
     dA = np.zeros((m, n, n), dtype=complex)
     dA[np.arange(m), fu, fv] = 1j * z

@@ -306,6 +306,34 @@ def test_search_exhausted_exit_code(tmp_path, capsys):
     assert len(rows) == 1 + 88
 
 
+def test_search_rejects_a_nan_start_temperature_at_once(tmp_path, capsys):
+    # with t0 = nan the temperature never cools to tau: the config refuses it
+    one = Gain.exact(0, 1)
+    edges = [(u, v, one) for u in range(8) for v in range(u + 1, 8)
+             if (v - u) % 8 not in (1, 7)]
+    path = write_graph(tmp_path, build(8, edges), "c8c.gg")
+    out, trace = tmp_path / "out.gg", tmp_path / "trace.csv"
+    code = main(["search", "--underlying", path, "--t0", "nan", "--iters", "1",
+                 "-o", str(out), "--trace", str(trace)])
+    assert code == 2
+    assert "t0" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists()
+
+
+def test_search_takes_an_unsorted_target_spectrum(tmp_path, capsys):
+    results = []
+    for name, text in (("sorted.txt", "-2 0 0 2\n"), ("unsorted.txt", "2 0\n-2 0\n")):
+        spectrum = tmp_path / name
+        spectrum.write_text(text)
+        out = tmp_path / (name + ".gg")
+        code = main(["search", "--underlying", c4_path(tmp_path), "--seed", "4",
+                     "--alpha", "0.9", "--iters", "500",
+                     "--target-spectrum", str(spectrum), "-o", str(out)])
+        results.append((code, capsys.readouterr().out, out.read_text()))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][1].startswith("Converged")
+
+
 # -- plumbing ---------------------------------------------------------------------
 
 def test_missing_file_is_a_usage_error(capsys):

@@ -8,9 +8,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gainforge import search
-from gainforge.constructions import catalog_entry, complete, toral
+from gainforge.constructions import catalog, catalog_entry, complete, toral
 from gainforge.errors import Disconnected, LengthMismatch
 from gainforge.gains import Gain, build, switch, switching_isomorphic
 from gainforge.search import (
@@ -59,12 +61,69 @@ def test_objective_zero_on_a_two_ev_graph():
 
 
 def test_objective_on_the_plain_four_cycle():
-    # eigenvalues 2, 0, 0, -2: each zero mode contributes (0-2)(0+2) = -4
-    assert objective_two_ev(c4().matrix()) == pytest.approx(4 * math.sqrt(2))
+    # tr A^3 = 0 and tr A^2 / n = 2, so R = A^2 - 2I: eigenvalues 2, -2, -2, 2
+    assert objective_two_ev(c4().matrix()) == 4.0
 
 
 def test_objective_on_the_empty_matrix():
     assert objective_two_ev(np.zeros((0, 0))) == 0.0
+
+
+@pytest.mark.parametrize("A", [np.zeros((3, 3)), np.zeros((4, 4), dtype=complex), 5.0 * np.eye(3)],
+                         ids=["zero", "complex zero", "multiple of I"])
+def test_objective_is_zero_on_a_single_eigenvalue(A):
+    assert objective_two_ev(A) == 0.0
+
+
+def test_objective_is_positive_on_three_eigenvalues_and_a_nonzero_trace():
+    # diag(1, 2, 4) centres to diag(-4, -1, 5)/3, and R = diag(6, -9, 3)/7
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    A = Q @ np.diag([1.0, 2.0, 4.0]) @ Q.conj().T
+    assert objective_two_ev(A) == pytest.approx(math.sqrt(18 / 7), rel=1e-12)
+
+
+def test_objective_is_rounding_size_on_every_catalog_graph():
+    for entry in catalog():
+        if entry.order > 40:
+            continue
+        A = entry.build(**{p: Gain.exact(1, 7) for p in entry.parameters}).matrix()
+        assert objective_two_ev(A) < 1e-12 * np.vdot(A, A).real, entry.name
+
+
+def test_objective_is_the_norm_of_the_local_solves_residual():
+    support = SUPPORTS["octahedron"]()
+    tree, free = search._edge_layout(support)
+    fu, fv = np.array(free).T
+    for seed in range(3):
+        _, angles = search._seeded_start(len(free), seed)
+        A = search._graph_from_state(support.n, tree, free, angles).matrix()
+        R, _ = search._residual(A, fu, fv)
+        assert objective_two_ev(A) == pytest.approx(np.linalg.norm(R), rel=1e-14, abs=0)
+
+
+# ||(A - l1)(A - ln)||_F from the spectrum: the objective before the
+# least-squares fit, whose a = l1 + ln and k = -l1 ln are one choice of many
+def _spectral_two_ev(A):
+    evs = np.linalg.eigvalsh(A)
+    return float(np.sqrt(np.sum(((evs - evs[0]) * (evs - evs[-1])) ** 2)))
+
+
+@st.composite
+def _hermitian(draw):
+    n = draw(st.integers(1, 7))
+    x = np.array(draw(st.lists(st.integers(-64, 64), min_size=2 * n * n,
+                               max_size=2 * n * n))) / 16.0
+    X = x[:n * n].reshape(n, n) + 1j * x[n * n:].reshape(n, n)
+    if draw(st.booleans()):
+        X = X.real
+    return X + X.conj().T       # its diagonal is 2 Re X_ii, mostly nonzero
+
+
+@given(_hermitian())
+def test_objective_is_at_most_the_spectral_formula(A):
+    # R is the least-squares minimum over a and k, the spectral formula one point
+    assert objective_two_ev(A) <= _spectral_two_ev(A) + 1e-12 * np.vdot(A, A).real
 
 
 def test_cospectral_objective():
@@ -76,14 +135,17 @@ def test_cospectral_objective():
         objective_cospectral(A, np.zeros(5))
 
 
-# the objectives as written on np.linalg.eigvalsh: the library's own
-# eigensolve and arithmetic must reproduce them bit for bit
+# the objectives written plainly in numpy: the least-squares fit of the
+# centred B^2 on span{B, I}, and the sorted spectra.  The library's
+# arithmetic must reproduce them bit for bit
 def _numpy_two_ev(A):
-    evs = np.linalg.eigvalsh(A)
-    q = evs - evs[:1]
-    q *= evs - evs[-1:]
-    q *= q
-    return float(np.sqrt(np.add.reduce(q)))
+    n = len(A)
+    B = A - np.trace(A).real / n * np.eye(n)
+    tr2 = np.vdot(B, B).real
+    B2 = B @ B
+    a = np.vdot(B2, B).real / tr2
+    R = B2 - a * B - tr2 / n * np.eye(n)
+    return float(np.sqrt(np.vdot(R, R).real))
 
 
 def _numpy_cospectral(A, target):
@@ -132,6 +194,14 @@ def test_config_validation():
         SearchConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         SearchConfig(iters_per_temp=0)
+
+
+@pytest.mark.parametrize("bad", [dict(t0=math.nan), dict(tau=math.nan), dict(epsilon=math.nan),
+                                 dict(t0=math.inf)],
+                         ids=["t0 nan", "tau nan", "epsilon nan", "t0 inf"])
+def test_config_rejects_nan_and_a_temperature_that_never_cools(bad):
+    with pytest.raises(ValueError, match="must be"):
+        SearchConfig(**bad)
 
 
 @pytest.mark.parametrize("bad", [
@@ -194,7 +264,7 @@ def test_extra_chains_only_improve_the_result():
     assert multi.best_f <= base.best_f
 
 
-# the annealer written plainly: one proposal, one eigensolve and one
+# the annealer written plainly: one proposal, one objective call and one
 # Metropolis test at a time, each draw taken from the generator as needed
 def _reference_chain(n: int, tree: list, free: list, cfg: SearchConfig,
                      objective, seed: int):
@@ -289,9 +359,9 @@ def test_a_tree_support_only_runs_the_cooling_schedule():
     start = time.perf_counter()
     res = anneal(path, cfg)
     elapsed = time.perf_counter() - start
-    # eigenvalues sqrt 2, 0, -sqrt 2: the middle one gives |(0 - sqrt 2)(0 + sqrt 2)|
+    # tr A^3 = 0, so R = A^2 - (4/3)I = [[-1/3, 0, 1], [0, 2/3, 0], [1, 0, -1/3]]
     assert res.status == "Exhausted"
-    assert res.best_f == objective_two_ev(path.matrix()) == pytest.approx(2.0)
+    assert res.best_f == objective_two_ev(path.matrix()) == pytest.approx(math.sqrt(8 / 3))
     temps = math.ceil(math.log(QUICK["tau"]) / math.log(QUICK["alpha"]))
     assert len(res.trace) == temps
     assert res.trace == [(t, res.best_f) for t, _ in res.trace]
