@@ -13,10 +13,12 @@ while ``Gain.numeric(z)`` stores an arbitrary unit complex number.
 Exact gains survive switching and comparison without rounding, which is
 what makes equivalence tests on root-of-unity graphs decidable.
 
-Every switching witness comes from one rule, ``_diagonal_entry``: with
-the diagonal 1 at a first vertex, each edge out of a vertex whose entry
-is known fixes the entry at its other end.  The isomorphism search does
-this as it places vertices, and prunes as soon as two edges disagree.
+Switching diagonals follow one rule: with the diagonal 1 at a first
+vertex, each edge out of a vertex whose entry is known fixes the entry
+at its other end.  ``_diagonal_entry`` states it for the equivalence and
+isomorphism searches, and the latter prunes as soon as two edges
+disagree.  ``normalize_spanning_tree`` writes it out for target gain 1,
+which saves a ``Gain`` product per tree edge.
 """
 
 from __future__ import annotations
@@ -536,10 +538,10 @@ def max_coclique(g: GainGraph) -> tuple[int, list[int]]:
             raise Timeout(f"coclique search exceeded {SEARCH_BUDGET} expansions")
         if size > best_size:
             best_size, best_set = size, cur
-        if cand == 0 or size + bin(cand).count("1") <= best_size:
+        if cand == 0 or size + cand.bit_count() <= best_size:
             return
         # branch on the candidate with the most candidate neighbors
-        v = max(_bits(cand), key=lambda b: bin(nbr[b] & cand).count("1"))
+        v = max(_bits(cand), key=lambda b: (nbr[b] & cand).bit_count())
         bit = 1 << v
         bb(cand & ~bit & ~nbr[v], cur | bit, size + 1)
         bb(cand & ~bit, cur, size)

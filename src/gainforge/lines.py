@@ -559,34 +559,31 @@ class _Budget:
 
 
 def _cover_search(masks: list[int], m: int, uncovered: int,
-                  parts: list[list[int]], budget: _Budget) -> Optional[list[list[int]]]:
+                  budget: _Budget) -> Optional[list[list[int]]]:
+    """A partition of the uncovered columns into bases, or None."""
     if uncovered == 0:
-        return [list(p) for p in parts]
+        return []
     budget.spend()
     c = (uncovered & -uncovered).bit_length() - 1
+    # c is the first uncovered column and masks[c] excludes c: the
+    # candidates all come after it
+    return _grow_basis(masks, m, uncovered, [c], masks[c] & uncovered, budget)
 
-    def extend(members: list[int], cand: int) -> Optional[list[list[int]]]:
-        if len(members) == m:
-            parts.append(members)
-            found = _cover_search(masks, m, uncovered & ~sum(1 << v for v in members),
-                                  parts, budget)
-            parts.pop()
+
+def _grow_basis(masks: list[int], m: int, uncovered: int, members: list[int], cand: int,
+                budget: _Budget) -> Optional[list[list[int]]]:
+    """Grow members to a basis from the columns in cand, then cover the rest."""
+    if len(members) == m:
+        rest = _cover_search(masks, m, uncovered & ~sum(1 << v for v in members), budget)
+        return None if rest is None else [members] + rest
+    budget.spend()
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1        # now the columns after v
+        found = _grow_basis(masks, m, uncovered, members + [v], cand & masks[v], budget)
+        if found is not None:
             return found
-        budget.spend()
-        rest = cand
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            found = extend(members + [v], cand & masks[v] & ~((1 << (v + 1)) - 1))
-            if found is not None:
-                return found
-        return None
-
-    try:
-        return extend([c], masks[c] & uncovered & ~((1 << (c + 1)) - 1))
-    finally:
-        # extend refers to itself; without this its state outlives the call until gc runs
-        del extend
+    return None
 
 
 def find_basis_partition(system: LineSystem,
@@ -601,4 +598,4 @@ def find_basis_partition(system: LineSystem,
     if n % m != 0:
         raise BadParam(f"{n} columns cannot split into bases of size {m}")
     masks = _orthogonality_masks(system)
-    return _cover_search(masks, m, (1 << n) - 1, [], _Budget(budget))
+    return _cover_search(masks, m, (1 << n) - 1, _Budget(budget))

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LengthMismatch
 from .gains import Gain, GainGraph, _bfs_tree, build, normalize_spanning_tree
@@ -150,9 +149,6 @@ def _graph_from_state(n: int, tree: list, free: list, angles: np.ndarray) -> Gai
     return build(n, edges)
 
 
-_DRAW_CHUNK = 4096      # uniforms drawn per refill of a chain's buffer
-
-
 def _seeded_start(m: int, seed: int):
     """The generator of the chain seeded with seed, and its first draw: m start angles."""
     rng = np.random.default_rng(seed)
@@ -163,10 +159,11 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
                   objective: Objective, seed: int):
     """One Metropolis chain; returns best_f, best_angles, trace and counters.
 
-    Each step scores one proposal and makes one Metropolis test.  The
-    uniforms come from one buffer refilled in chunks and read in the order
-    of one-by-one draws (m step draws per proposal, then an acceptance draw
-    unless the proposal goes downhill): they are the same numbers.
+    Each temperature draws an (iters_per_temp, m) block of angle steps
+    with one ``rng.uniform`` call, then its acceptance uniforms with one
+    ``rng.random`` call; step r scores row r and tests it with coin r.
+    The block is 104 KB for the octagon complement (m = 13) at 500 steps
+    per temperature, 416 KB at the default 2000.
     """
     rng, angles = _seeded_start(len(free), seed)
     m = len(free)
@@ -192,32 +189,21 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
     trace = []
     t = cfg.t0
     converged = f < cfg.epsilon
-    # drawn up front, as the window of moves needs m draws: uniforms drawn
-    # in chunks are the same numbers as uniforms drawn one by one
-    buf, pos = rng.random(max(m + 1, _DRAW_CHUNK)), 0
+    # with no free angle nothing moves: only the cooling is left
+    iters = cfg.iters_per_temp if m else 0
     while not converged:
         step = math.pi * min(1.0, t)
-        lo, span = -step, step - (-step)   # Generator.uniform(-step, step)
-        # row r: i times the m angle steps drawn from buf[r] on
-        moves = sliding_window_view(1j * (lo + span * buf), m)
-        # with no free angle every proposal is the current state and is
-        # accepted (exp(0) = 1) to no effect: only the cooling is left
-        for _ in range(cfg.iters_per_temp if m else 0):
-            if pos + m + 1 > len(buf):
-                buf = np.concatenate((buf[pos:], rng.random(max(m + 1, _DRAW_CHUNK))))
-                pos = 0
-                moves = sliding_window_view(1j * (lo + span * buf), m)
-            P = phases + moves[pos]
+        moves = 1j * rng.uniform(-step, step, size=(iters, m))
+        coins = rng.random(iters)
+        for move, coin in zip(moves, coins.tolist()):
+            P = phases + move
             Z = np.exp(P)
             flat[upper] = Z
             flat[lower] = Z.conj()
             f_new = objective(A)
             steps += 1
-            coin = pos + m
-            # a downhill move never reads its acceptance draw
-            pos = coin + (not f_new < f)
             # f >= epsilon > 0 here, so the division below is safe
-            if f_new < f or buf.item(coin) < math.exp((f - f_new) / (f * t)):
+            if f_new < f or coin < math.exp((f - f_new) / (f * t)):
                 accepted += 1
                 phases, f = P, f_new
                 if f < best_f:

@@ -209,6 +209,23 @@ def test_find_basis_partition_budget_raises_timeout():
         find_basis_partition(geometry_lines("Witting"), budget=10)
 
 
+@pytest.mark.parametrize("name, kw, bases, budget", [
+    ("MUB_C3", dict(t=4), 4, 12),
+    ("Witting", {}, 10, 71),
+])
+def test_find_basis_partition_spends_one_unit_per_node(name, kw, bases, budget):
+    # one unit per cover node and one per basis-growing node that still
+    # needs a member: the search that finds the partition visits exactly
+    # `budget` such nodes, so one unit less raises Timeout
+    s = geometry_lines(name, **kw)
+    parts = find_basis_partition(s, budget=budget)
+    assert parts is not None and len(parts) == bases
+    assert sorted(c for p in parts for c in p) == list(range(s.count))
+    assert parts[0] == list(range(s.dim))
+    with pytest.raises(Timeout):
+        find_basis_partition(s, budget=budget - 1)
+
+
 # -- bounds ----------------------------------------------------------------------
 
 def test_absolute_bound_values():

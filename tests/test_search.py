@@ -288,13 +288,15 @@ def _reference_chain(n: int, tree: list, free: list, cfg: SearchConfig,
     t = cfg.t0
     converged = f < cfg.epsilon
     while not converged:
-        for _ in range(cfg.iters_per_temp):
-            step = math.pi * min(1.0, t)
-            proposal = angles + rng.uniform(-step, step, size=len(free))
+        step = math.pi * min(1.0, t)
+        moves = rng.uniform(-step, step, size=(cfg.iters_per_temp, len(free)))
+        coins = rng.random(cfg.iters_per_temp)
+        for r in range(cfg.iters_per_temp):
+            proposal = angles + moves[r]
             place(proposal)
             f_new = objective(A)
             # f >= epsilon > 0 here, so the division below is safe
-            if f_new < f or rng.random() < math.exp((f - f_new) / (f * t)):
+            if f_new < f or coins[r] < math.exp((f - f_new) / (f * t)):
                 angles, f = proposal, f_new
                 if f < best_f:
                     best_f, best_angles = f, angles.copy()
