@@ -517,41 +517,67 @@ def structure_stats(g: GainGraph) -> StructureStats:
     )
 
 
+class _Budget:
+    """Node expansions left to a bitset search; Timeout once they run out."""
+
+    def __init__(self, limit: int, search: str):
+        self.left = limit
+        self.limit = limit
+        self.search = search
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise Timeout(f"{self.search} exceeded {self.limit} expansions")
+
+
 def max_coclique(g: GainGraph) -> tuple[int, list[int]]:
     """Exact maximum independent set of the support, by branch and bound.
 
-    Raises Timeout past SEARCH_BUDGET node expansions.
+    Each node covers its candidates greedily by cliques of the support;
+    an independent set takes at most one vertex from each, so the number
+    of cliques bounds what a branch can add (Tomita and Seki's colouring
+    bound, on the complement).  Raises Timeout past SEARCH_BUDGET node
+    expansions.
     """
-    n = g.n
-    nbr = [0] * n
+    nbr = [0] * g.n
     for (u, v) in g.gains:
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
-    best_size = 0
-    best_set = 0
-    expansions = 0
+    size, members = _coclique_search(nbr, (1 << g.n) - 1, 0, 0, (0, 0),
+                                     _Budget(SEARCH_BUDGET, "coclique search"))
+    return size, list(_bits(members))
 
-    def bb(cand: int, cur: int, size: int) -> None:
-        nonlocal best_size, best_set, expansions
-        expansions += 1
-        if expansions > SEARCH_BUDGET:
-            raise Timeout(f"coclique search exceeded {SEARCH_BUDGET} expansions")
-        if size > best_size:
-            best_size, best_set = size, cur
-        if cand == 0 or size + cand.bit_count() <= best_size:
-            return
-        # branch on the candidate with the most candidate neighbors
-        v = max(_bits(cand), key=lambda b: (nbr[b] & cand).bit_count())
+
+def _coclique_search(nbr: list[int], cand: int, members: int, size: int,
+                     best: tuple[int, int], budget: _Budget) -> tuple[int, int]:
+    """The larger of best and the largest independent set that adds
+    candidates from cand to members (size vertices), as (size, bitset)."""
+    budget.spend()
+    if size > best[0]:
+        best = (size, members)
+    # (v, k): v lies in the k-th clique of a greedy cover of cand
+    cover = []
+    k = 0
+    rest = cand
+    while rest:
+        k += 1
+        clique = rest
+        while clique:
+            v = (clique & -clique).bit_length() - 1
+            cover.append((v, k))
+            rest ^= 1 << v
+            clique &= nbr[v]
+    # the candidates left when v is reached all lie in the first k
+    # cliques, so a branch from v adds at most k vertices
+    for v, k in reversed(cover):
+        if size + k <= best[0]:
+            break
         bit = 1 << v
-        bb(cand & ~bit & ~nbr[v], cur | bit, size + 1)
-        bb(cand & ~bit, cur, size)
-
-    try:
-        bb((1 << n) - 1, 0, 0)
-    finally:
-        # bb refers to itself; without this its state outlives the call until gc runs
-        del bb
-    return best_size, list(_bits(best_set))
+        best = _coclique_search(nbr, cand & ~nbr[v] & ~bit, members | bit, size + 1,
+                                best, budget)
+        cand ^= bit
+    return best
 
 
 def _bits(mask: int) -> Iterator[int]:

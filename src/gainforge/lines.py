@@ -29,10 +29,9 @@ from .errors import (
     NotTwoEigenvalue,
     PartitionInvalid,
     PartNotTight,
-    Timeout,
     UnknownName,
 )
-from .gains import ONE, SEARCH_BUDGET, Gain, GainGraph, build, max_coclique
+from .gains import ONE, SEARCH_BUDGET, Gain, GainGraph, _Budget, build, max_coclique
 from .spectral import TwoEvCertificate, certify_two_ev
 
 _PHI = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
@@ -113,12 +112,8 @@ def angle_profile(system: LineSystem) -> AngleProfile:
     tol = 1e-8
     G = np.abs(system.gram())
     off = np.sort(G[~np.eye(system.count, dtype=bool)])
-    values: list[float] = []
-    start = 0
-    for i in range(1, len(off) + 1):
-        if i == len(off) or off[i] - off[i - 1] > tol:
-            values.append(float(off[start:i].mean()))
-            start = i
+    cuts = np.flatnonzero(np.diff(off) > tol) + 1
+    values = [float(c.mean()) for c in np.split(off, cuts)] if off.size else []
     has_zero = bool(values) and values[0] <= tol
     nonzero = [v for v in values if v > tol]
     if not nonzero:
@@ -210,14 +205,12 @@ def bounds_check(m: int, s: int, has_zero: bool,
     if cert is not None:
         system = gain_to_lines(g, cert)
         gram = np.abs(system.gram())
-        distinct = 0
         seen: list[int] = []
         for j in range(system.count):
-            if all(gram[j, h] < 1.0 - 1e-8 for h in seen):
+            if (gram[j, seen] < 1 - 1e-8).all():    # NaN is not distinct
                 seen.append(j)
-                distinct += 1
-        report.distinct_lines = distinct
-        report.absolute_ok = distinct <= bound
+        report.distinct_lines = len(seen)
+        report.absolute_ok = len(seen) <= bound
         target = -cert.k * cert.m / (g.n - cert.m)
         U = (np.abs(g.matrix()) > 0.5).astype(float)
         evs = np.linalg.eigvalsh(U)
@@ -548,16 +541,6 @@ def _orthogonality_masks(system: LineSystem) -> list[int]:
     return [sum(1 << int(v) for v in np.flatnonzero(row)) for row in near]
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise Timeout("basis-partition search budget exhausted")
-
-
 def _cover_search(masks: list[int], m: int, uncovered: int,
                   budget: _Budget) -> Optional[list[list[int]]]:
     """A partition of the uncovered columns into bases, or None."""
@@ -598,4 +581,4 @@ def find_basis_partition(system: LineSystem,
     if n % m != 0:
         raise BadParam(f"{n} columns cannot split into bases of size {m}")
     masks = _orthogonality_masks(system)
-    return _cover_search(masks, m, (1 << n) - 1, _Budget(budget))
+    return _cover_search(masks, m, (1 << n) - 1, _Budget(budget, "basis-partition search"))

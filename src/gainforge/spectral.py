@@ -71,7 +71,10 @@ def eigenvalues(g: GainGraph, cluster_tol: float = 1e-8) -> Spectrum:
     """Real spectrum of the gain matrix, sorted descending."""
     if g.n == 0:
         raise EmptyGraph("no vertices")
-    A = g.matrix()
+    return _spectrum(g.matrix(), cluster_tol)
+
+
+def _spectrum(A: np.ndarray, cluster_tol: float) -> Spectrum:
     try:
         evs = np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
@@ -91,7 +94,8 @@ def certify_two_ev(g: GainGraph, tol: float = 1e-9) -> Optional[TwoEvCertificate
     if not is_connected(g):
         raise Disconnected("certification requires a connected graph")
     cluster_tol = max(1e-8, 1e3 * tol)
-    spec = eigenvalues(g, cluster_tol)
+    A = g.matrix()
+    spec = _spectrum(A, cluster_tol)
     if len(spec.clusters) != 2:
         return None
     (t1, m1), (t2, m2) = spec.clusters
@@ -103,7 +107,8 @@ def certify_two_ev(g: GainGraph, tol: float = 1e-9) -> Optional[TwoEvCertificate
         negated = True
     a = t1 + t2
     k = -t1 * t2
-    A = -g.matrix() if negated else g.matrix()
+    if negated:
+        A = -A
     residual = float(np.linalg.norm(A @ A - a * A - k * np.eye(g.n)))
     if residual > 1e-6 * g.n:
         return None

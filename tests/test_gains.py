@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gainforge import gains
 from gainforge.constructions import fixed_catalog
 from gainforge.errors import (
     DuplicateEdge,
@@ -353,12 +354,23 @@ _HEXAGON = build(6, [(v, (v + 1) % 6, ONE) for v in range(6)])
 _HEXAGON_FLIPPED = build(6, [(v, (v + 1) % 6, ONE if v else -ONE) for v in range(6)])
 _K8STAR = fixed_catalog("K8star")
 _MUB_C3 = geometry_lines("MUB_C3", t=4)
+
+
+def _coclique_on_budget_one():
+    saved, gains.SEARCH_BUDGET = gains.SEARCH_BUDGET, 1
+    try:
+        max_coclique(_K8STAR)
+    finally:
+        gains.SEARCH_BUDGET = saved
+
+
 _SEARCHES = {
     "iso-found": lambda: switching_isomorphic(_HEXAGON, _HEXAGON, budget=10 ** 6),
     "iso-none": lambda: switching_isomorphic(_HEXAGON, _HEXAGON_FLIPPED, budget=10 ** 6),
     "iso-timeout": lambda: switching_isomorphic(_HEXAGON, _HEXAGON_FLIPPED, budget=1),
     "char-poly": lambda: char_poly_elementary(_K8STAR),
     "coclique": lambda: max_coclique(_K8STAR),
+    "coclique-timeout": _coclique_on_budget_one,
     "basis-partition": lambda: find_basis_partition(_MUB_C3),
     "basis-partition-timeout": lambda: find_basis_partition(_MUB_C3, budget=1),
 }
@@ -407,3 +419,28 @@ def test_max_coclique_square():
 def test_max_coclique_complete():
     g = build(5, [(u, v, ONE) for u in range(5) for v in range(u + 1, 5)])
     assert max_coclique(g)[0] == 1
+
+
+def _independent(g, members):
+    return not any(g.has_edge(u, v) for u, v in itertools.combinations(members, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2 ** 45 - 1))
+def test_max_coclique_matches_brute_force(n, edge_bits):
+    pairs = itertools.combinations(range(n), 2)
+    g = build(n, [(u, v, ONE) for i, (u, v) in enumerate(pairs) if edge_bits >> i & 1])
+    size, members = max_coclique(g)
+    brute = max(r for r in range(n + 1)
+                for s in itertools.combinations(range(n), r) if _independent(g, s))
+    assert size == brute == len(set(members))
+    assert _independent(g, members)
+
+
+@pytest.mark.parametrize("name", ["CoxeterTodd2", "CoxeterTodd3", "CoxeterTodd4"])
+def test_max_coclique_of_coxeter_todd_within_2000_expansions(name, monkeypatch):
+    # the size-plus-candidates bound needed about 10,000 expansions here
+    monkeypatch.setattr(gains, "SEARCH_BUDGET", 2000)
+    g = fixed_catalog(name)
+    size, members = max_coclique(g)
+    assert size == len(members) == 6 and _independent(g, members)

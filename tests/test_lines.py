@@ -67,6 +67,7 @@ def test_orthonormal_basis_is_tight_with_unit_z():
     rep = tightness_check(LineSystem(np.eye(3)))
     assert rep.is_tight and rep.z == pytest.approx(1.0)
     assert angle_profile(LineSystem(np.eye(3))).classification == "orthogonal"
+    assert angle_profile(LineSystem(np.ones((1, 1)))).values == ()
 
 
 def test_four_vectors_in_r3_that_fail_tightness():
@@ -239,6 +240,19 @@ def test_bounds_on_a_catalog_graph():
     rep = bounds_check(2, 1, False, g=g)
     assert rep.absolute_ok and rep.distinct_lines == 4
     assert rep.coclique_ok and rep.max_coclique <= 2
+
+
+@pytest.mark.parametrize("graph, m, s, has_zero, expected", [
+    (lambda: fixed_catalog("CoxeterTodd2"), 6, 2, True, (126, 90, 6)),
+    (lambda: fixed_catalog("W4"), 2, 1, False, (4, 0, 1)),
+    (lambda: fixed_catalog("MUB_C3(4)"), 3, 2, True, (12, 3, 3)),
+    # all five lines are one line
+    (lambda: complete(5), 1, 0, False, (1, 4, 1)),
+], ids=["CoxeterTodd2", "W4", "MUB_C3(4)", "complete(5)"])
+def test_bounds_check_reports(graph, m, s, has_zero, expected):
+    rep = bounds_check(m, s, has_zero, g=graph())
+    assert (rep.distinct_lines, rep.m_prime, rep.max_coclique) == expected
+    assert rep.absolute_ok and rep.rank_bound_ok and rep.coclique_ok
 
 
 def test_rank_bound_attained_by_the_twelve_mub_lines():
