@@ -652,8 +652,9 @@ def catalog_verify_all(tol: float = 1e-8, only: Optional[str] = None,
             if cert is None:
                 continue
             certs.append(cert)
+            # written so that a NaN tol fails
             if (g.n != entry.order
-                    or abs(cert.theta1 - t1) > tol or abs(cert.theta2 - t2) > tol
+                    or not abs(cert.theta1 - t1) <= tol or not abs(cert.theta2 - t2) <= tol
                     or cert.m != m1 or g.n - cert.m != m2):
                 continue
             residuals.append(cert.residual)

@@ -24,7 +24,6 @@ which saves a ``Gain`` product per tree edge.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -317,28 +316,37 @@ def apply_witness(g: GainGraph, w: SwitchingWitness) -> GainGraph:
     return switch(relabel(h, w.permutation), w.diagonal)
 
 
-def _bfs_tree(g: GainGraph) -> list[tuple[int, int]]:
-    """Canonical spanning tree: BFS from vertex 0, neighbors by index.
+def _bfs_forest(g: GainGraph) -> list[tuple[int, int]]:
+    """(parent, child) pairs in visit order of a BFS from each lowest
+    unvisited vertex in turn, neighbors by index: one tree per component."""
+    adj = g.neighbors()
+    seen = [False] * g.n
+    parent_edges = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for u in queue:         # the loop reaches what it appends: a FIFO queue
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent_edges.append((u, v))
+                    queue.append(v)
+    return parent_edges
 
-    Returns (parent, child) pairs in visit order; raises Disconnected,
-    also for the empty graph.
+
+def _bfs_tree(g: GainGraph) -> list[tuple[int, int]]:
+    """Canonical spanning tree: the BFS forest of a connected graph, rooted at 0.
+
+    Raises Disconnected, also for the empty graph.
     """
     if g.n == 0:
         raise Disconnected("graph has no vertices")
-    adj = g.neighbors()
-    parent_edges = []
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                parent_edges.append((u, v))
-                queue.append(v)
-    if len(seen) != g.n:
+    tree = _bfs_forest(g)
+    if len(tree) != g.n - 1:
         raise Disconnected("graph is not connected")
-    return parent_edges
+    return tree
 
 
 def normalize_spanning_tree(g: GainGraph) -> tuple[GainGraph, SwitchingWitness]:
@@ -379,6 +387,20 @@ def switching_equivalent(g1: GainGraph, g2: GainGraph) -> Optional[SwitchingWitn
     return SwitchingWitness(list(range(g1.n)), d, False)
 
 
+class _Budget:
+    """Node expansions left to a budgeted search; Timeout once they run out."""
+
+    def __init__(self, limit: int, search: str):
+        self.left = limit
+        self.limit = limit
+        self.search = search
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise Timeout(f"{self.search} exceeded {self.limit} expansions")
+
+
 def _neighbor_degree_key(adj: list[list[int]], deg: list[int], u: int) -> tuple:
     return (deg[u], tuple(sorted(deg[v] for v in adj[u])))
 
@@ -407,8 +429,11 @@ def switching_isomorphic(g1: GainGraph, g2: GainGraph,
         return None
 
     set1 = [set(a) for a in adj1]
-    set2 = [set(a) for a in adj2]
-    g2_gain = {**g2.gains, **{(b, a): gn.conj() for (a, b), gn in g2.gains.items()}}
+    # g2's gains out of each vertex, keyed by neighbour in index order
+    out2 = [{v: g2.gain(x, v) for v in adj2[x]} for x in range(g2.n)]
+    same_key: dict[tuple, set[int]] = {}
+    for v, key in enumerate(keys2):
+        same_key.setdefault(key, set()).add(v)
 
     # order g1's vertices so each one (after the first) touches the mapped part
     start = max(range(g1.n), key=lambda u: deg1[u])
@@ -422,51 +447,50 @@ def switching_isomorphic(g1: GainGraph, g2: GainGraph,
         order.append(nxt)
         placed.add(nxt)
 
-    perm: list[Optional[int]] = [None] * g1.n
-    d = [ONE] * g2.n
-    used = [False] * g2.n
-    expansions = 0
+    budget_left = _Budget(budget, "isomorphism search")
+    for conjugated in (False, True):
+        h = converse(g1) if conjugated else g1
+        # position i: the g2 vertices with its key, whether each earlier position
+        # neighbours it, and (j, h(order[j] -> order[i])) for each j < i that does
+        plan = [(same_key[keys1[u]], [w in set1[u] for w in order[:i]],
+                 [(j, h.gain(w, u)) for j, w in enumerate(order[:i]) if w in set1[u]])
+                for i, u in enumerate(order)]
+        images = [0] * g1.n
+        d: list[Optional[Gain]] = [None] * g2.n
+        if _place(0, plan, out2, images, d, budget_left, tol):
+            perm = [v for _, v in sorted(zip(order, images))]
+            return SwitchingWitness(perm, d, conjugated)  # type: ignore[arg-type]
+    return None
 
-    def extend(i: int) -> bool:
-        nonlocal expansions
-        if i == g1.n:
+
+def _place(i: int, plan: list, out2: list[dict[int, Gain]], images: list[int],
+           d: list[Optional[Gain]], budget: _Budget, tol: float) -> bool:
+    """Map positions i, i+1, ... of the order onto g2 vertices v with d[v] None.
+
+    images[j] is the image of position j < i.  The first placed neighbour
+    fixes d at the image (1 for none); the others must agree within tol.
+    """
+    if i == len(plan):
+        return True
+    fits, adjacent, links = plan[i]
+    # only neighbours of the image of the first placed neighbour can pass
+    for v in out2[images[links[0][0]]] if i else range(len(d)):
+        if d[v] is not None or v not in fits:
+            continue
+        row = out2[v]
+        if any(a != (x in row) for a, x in zip(adjacent, images)):
+            continue
+        budget.spend()
+        implied = (_diagonal_entry(d[images[j]], hwu, out2[images[j]][v]) for j, hwu in links)
+        dv = next(implied, ONE)
+        if not all(x.close(dv, tol) for x in implied):
+            continue
+        images[i] = v
+        d[v] = dv
+        if _place(i + 1, plan, out2, images, d, budget, tol):
             return True
-        u = order[i]
-        # only neighbours of the image of u's first placed neighbour can pass
-        for v in adj2[perm[links[i][0][0]]] if i else range(g2.n):
-            if used[v] or keys1[u] != keys2[v]:
-                continue
-            if any((w in set1[u]) != (perm[w] in set2[v]) for w in order[:i]):
-                continue
-            expansions += 1
-            if expansions > budget:
-                raise Timeout(f"isomorphism search exceeded {budget} expansions")
-            # each placed neighbour implies d[v]; the first one (none: 1) sets it
-            implied = (_diagonal_entry(d[perm[w]], hwu, g2_gain[perm[w], v])
-                       for w, hwu in links[i])
-            dv = next(implied, ONE)
-            if not all(x.close(dv, tol) for x in implied):
-                continue
-            perm[u] = v
-            d[v] = dv
-            used[v] = True
-            if extend(i + 1):
-                return True
-            used[v] = False
-        return False
-
-    try:
-        for conjugated in (False, True):
-            h = converse(g1) if conjugated else g1
-            # (w, h(w -> u)) for each neighbour w placed before u = order[i]
-            links = [[(w, h.gain(w, u)) for w in order[:i] if w in set1[u]]
-                     for i, u in enumerate(order)]
-            if extend(0):
-                return SwitchingWitness(list(perm), d, conjugated)  # type: ignore[arg-type]
-        return None
-    finally:
-        # extend refers to itself; without this its state outlives the call until gc runs
-        del extend
+        d[v] = None
+    return False
 
 
 # -- structural statistics --------------------------------------------------
@@ -490,23 +514,11 @@ def structure_stats(g: GainGraph) -> StructureStats:
         for v in range(u + 1, g.n):
             if v not in adj[u]:
                 common[(u, v)] = len(adj[u] & adj[v])
-    # 2-color each component for bipartiteness
-    color = [-1] * g.n
-    bipartite = True
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue and bipartite:
-            u = queue.popleft()
-            for v in adj[u]:
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    bipartite = False
-                    break
+    # 2-colour along the BFS forest; bipartite when no edge joins equal colours
+    color = [0] * g.n
+    for u, v in _bfs_forest(g):
+        color[v] = color[u] ^ 1
+    bipartite = all(color[u] != color[v] for u, v in g.gains)
     return StructureStats(
         degrees=deg,
         is_regular=len(set(deg)) <= 1,
@@ -515,20 +527,6 @@ def structure_stats(g: GainGraph) -> StructureStats:
         triangles_per_edge=tri,
         common_neighbors=common,
     )
-
-
-class _Budget:
-    """Node expansions left to a bitset search; Timeout once they run out."""
-
-    def __init__(self, limit: int, search: str):
-        self.left = limit
-        self.limit = limit
-        self.search = search
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise Timeout(f"{self.search} exceeded {self.limit} expansions")
 
 
 def max_coclique(g: GainGraph) -> tuple[int, list[int]]:

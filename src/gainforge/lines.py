@@ -32,7 +32,7 @@ from .errors import (
     UnknownName,
 )
 from .gains import ONE, SEARCH_BUDGET, Gain, GainGraph, _Budget, build, max_coclique
-from .spectral import TwoEvCertificate, certify_two_ev
+from .spectral import TwoEvCertificate, _cluster, certify_two_ev
 
 _PHI = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 
@@ -59,13 +59,7 @@ class LineSystem:
         if bad.size:
             raise NormViolation(f"column {bad[0]} has norm {norms.item(bad[0])!r}")
         if self.declared_angle is not None:
-            G = np.abs(self.gram())
-            off = G[~np.eye(self.count, dtype=bool)]
-            ok = (off <= 1e-8) | (np.abs(off - self.declared_angle) <= 1e-8)
-            if not ok.all():
-                raise AngleViolation(
-                    f"off-diagonal |inner product| {off[~ok][0]} is near neither "
-                    f"0 nor {self.declared_angle}")
+            _angle_check(self.gram(), self.declared_angle)
 
     @property
     def dim(self) -> int:
@@ -80,6 +74,18 @@ class LineSystem:
 
     def take(self, columns) -> LineSystem:
         return LineSystem(self.matrix[:, list(columns)], self.declared_angle)
+
+
+def _angle_check(gram: np.ndarray, alpha: float) -> np.ndarray:
+    """|gram|, once each off-diagonal entry lies within 1e-8 of 0 or alpha;
+    AngleViolation otherwise, also where the entry or alpha is NaN."""
+    G = np.abs(gram)
+    off = G[~np.eye(len(G), dtype=bool)]
+    ok = (off <= 1e-8) | (np.abs(off - alpha) <= 1e-8)
+    if not ok.all():
+        raise AngleViolation(
+            f"off-diagonal |inner product| {off[~ok][0]} is near neither 0 nor {alpha}")
+    return G
 
 
 @dataclass
@@ -112,8 +118,7 @@ def angle_profile(system: LineSystem) -> AngleProfile:
     tol = 1e-8
     G = np.abs(system.gram())
     off = np.sort(G[~np.eye(system.count, dtype=bool)])
-    cuts = np.flatnonzero(np.diff(off) > tol) + 1
-    values = [float(c.mean()) for c in np.split(off, cuts)] if off.size else []
+    values = [v for v, _ in _cluster(off, tol)]
     has_zero = bool(values) and values[0] <= tol
     nonzero = [v for v in values if v > tol]
     if not nonzero:
@@ -154,19 +159,11 @@ def gain_to_lines(g: GainGraph, cert: Optional[TwoEvCertificate] = None) -> Line
 def lines_to_gain(system: LineSystem, alpha: float) -> GainGraph:
     """Scaled Gram off-diagonal as gains: edge where |inner| = alpha, none at 0."""
     G = system.gram()
-    n = system.count
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            w = G[u, v]
-            r = abs(w)
-            if r <= 1e-8:
-                continue
-            if abs(r - alpha) > 1e-8:
-                raise AngleViolation(
-                    f"|<v{u},v{v}>| = {r} is near neither 0 nor alpha={alpha}")
-            edges.append((u, v, Gain.numeric(w / r, tol=1e-9)))
-    return build(n, edges)
+    us, vs = np.nonzero(np.triu(_angle_check(G, alpha) > 1e-8, 1))
+    # numpy scalars edge by edge: vectorised division rounds some gains differently
+    edges = [(u, v, Gain.numeric(G[u, v] / abs(G[u, v]), tol=1e-9))
+             for u, v in zip(us.tolist(), vs.tolist())]
+    return build(system.count, edges)
 
 
 # -- order bounds ----------------------------------------------------------------

@@ -167,9 +167,7 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
     """
     rng, angles = _seeded_start(len(free), seed)
     m = len(free)
-    A = np.zeros((n, n), dtype=complex)
-    for u, v in tree:
-        A[u, v] = A[v, u] = 1.0
+    A = _graph_from_state(n, tree, free, angles).matrix()
     # flat positions of the free entries above and below the diagonal
     flat = A.reshape(-1)
     upper = np.array([u * n + v for u, v in free], dtype=int)
@@ -180,9 +178,6 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
     # real parts are +-0, which exp ignores, so a proposal is one addition
     # away from its gains
     phases = 1j * angles
-    z = np.exp(phases)
-    flat[upper] = z
-    flat[lower] = z.conj()
     f = objective(A)
     best_f, best_angles = f, angles.copy()
     steps = accepted = 0
@@ -284,7 +279,7 @@ def refine_gains(g: GainGraph) -> GainGraph:
         J = dR.reshape(len(dR), -1)
         return np.vdot(R, R).real, (J.conj() @ J.T).real, (J.conj() @ R.reshape(-1)).real
 
-    theta = np.array([np.angle(g.gains[e].value) for e in free])
+    theta = np.angle(A[fu, fv])
     cost, H, grad = at(theta)
     lam, gain = 1e-3, math.inf
     for _ in range(200):

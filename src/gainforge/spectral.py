@@ -57,14 +57,16 @@ class TwoEvCertificate:
     negated: bool = False
 
 
-def _cluster(values: list[float], tol: float) -> list[tuple[float, int]]:
-    clusters: list[list[float]] = []
-    for x in values:
-        if clusters and abs(x - clusters[-1][-1]) <= tol:
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
-    return [(sum(c) / len(c), len(c)) for c in clusters]
+def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
+    """(mean, size) of each run of sorted values, cut where neighbours are
+    more than tol apart or either is NaN."""
+    if not values.size:
+        return []
+    cuts = np.flatnonzero(~(np.abs(np.diff(values)) <= tol)) + 1
+    bounds = [0, *cuts.tolist(), len(values)]
+    # a running sum adds in order, as a loop would; .mean() sums pairwise
+    return [(float(values[a:b].cumsum()[-1]) / (b - a), b - a)
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def eigenvalues(g: GainGraph, cluster_tol: float = 1e-8) -> Spectrum:
@@ -79,8 +81,8 @@ def _spectrum(A: np.ndarray, cluster_tol: float) -> Spectrum:
         evs = np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
         raise NoConvergence(str(exc)) from exc
-    vals = sorted((float(x) for x in evs), reverse=True)
-    return Spectrum(vals, _cluster(vals, cluster_tol), cluster_tol)
+    vals = evs[::-1]        # eigvalsh sorts ascending
+    return Spectrum(vals.tolist(), _cluster(vals, cluster_tol), cluster_tol)
 
 
 def certify_two_ev(g: GainGraph, tol: float = 1e-9) -> Optional[TwoEvCertificate]:

@@ -204,6 +204,14 @@ def test_lines_import_requires_alpha(tmp_path, capsys):
     assert "--alpha" in capsys.readouterr().err
 
 
+def test_lines_import_rejects_nan_alpha(tmp_path, capsys):
+    lpath = tmp_path / "sic3.lines"
+    lpath.write_text(serialize_lines(geometry_lines("SIC3")))
+    out = tmp_path / "out.gg"
+    assert main(["lines", "import", str(lpath), "--alpha", "nan", "-o", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_lines_check_on_a_tight_system(tmp_path, capsys):
     lpath = tmp_path / "mub.lines"
     lpath.write_text(serialize_lines(geometry_lines("MUB_C3", t=4)))

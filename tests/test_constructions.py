@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from gainforge.constructions import (
+    CatalogEntry,
     WeighingMatrix,
     catalog,
     catalog_entry,
+    catalog_verify_all,
     cm_weighing,
     complete,
     d8_star,
@@ -295,6 +297,14 @@ def test_catalog_verify_all_is_exported_by_the_library():
     rows, ok = gainforge.catalog_verify_all(entries=[catalog_entry("K4")])
     assert ok and len(rows) == 2
     assert rows[0] == gainforge.CSV_HEADER and rows[1].startswith("K4,4,3,1,")
+
+
+def test_catalog_verify_all_fails_a_wrong_spectrum_at_nan_tol():
+    # K4's spectrum is (3, 1), (-1, 3): theta1 = 5 is wrong by any tolerance
+    bad = CatalogEntry("bad", 4, 3, ((5.0, 1), (-1.0, 3)), lambda: complete(4))
+    for tol in (1e-8, math.nan):
+        rows, ok = catalog_verify_all(tol=tol, entries=[bad])
+        assert not ok and rows[1].endswith(",FAIL"), tol
 
 
 def test_complete_graph_certificate():

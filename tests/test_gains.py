@@ -346,7 +346,7 @@ def test_switching_isomorphic_raises_timeout_past_its_budget():
     g = build(6, [(v, (v + 1) % 6, ONE) for v in range(6)])
     h = build(6, [(v, (v + 1) % 6, ONE if v else -ONE) for v in range(6)])
     assert switching_isomorphic(g, h, budget=2 * 66) is None
-    with pytest.raises(Timeout):
+    with pytest.raises(Timeout, match="isomorphism search exceeded 131 expansions"):
         switching_isomorphic(g, h, budget=2 * 66 - 1)
 
 
@@ -407,6 +407,19 @@ def test_structure_stats_on_square():
     s = structure_stats(c4())
     assert s.degrees == [2, 2, 2, 2]
     assert s.is_regular and s.is_bipartite and s.triangle_free
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 2 ** 28 - 1), st.integers(0, 2 ** 28 - 1))
+def test_structure_stats_bipartite_matches_brute_force(n, bits_a, bits_b):
+    # an edge where both masks have a bit: a quarter of the pairs, so many
+    # of the graphs are disconnected
+    pairs = itertools.combinations(range(n), 2)
+    edges = [(u, v) for i, (u, v) in enumerate(pairs) if bits_a >> i & bits_b >> i & 1]
+    g = build(n, [(u, v, ONE) for u, v in edges])
+    two_colourable = any(all(c[u] != c[v] for u, v in edges)
+                         for c in itertools.product((0, 1), repeat=n))
+    assert structure_stats(g).is_bipartite == two_colourable
 
 
 def test_max_coclique_square():

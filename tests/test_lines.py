@@ -165,8 +165,10 @@ def test_gain_to_lines_guards_against_bogus_certificate():
 
 
 def test_lines_to_gain_rejects_wrong_alpha():
-    with pytest.raises(AngleViolation):
-        lines_to_gain(geometry_lines("SIC3"), alpha=0.3)
+    # every comparison with NaN is False, so no nonzero entry may pass as alpha
+    for alpha in (0.3, math.nan):
+        with pytest.raises(AngleViolation):
+            lines_to_gain(geometry_lines("SIC3"), alpha=alpha)
 
 
 # -- dismantling ------------------------------------------------------------------

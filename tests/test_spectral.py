@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gainforge.constructions import complete, ig, named_weighing, _graph_from_entries
 from gainforge.errors import EmptyGraph, InvalidParameters, TooLarge
 from gainforge.gains import Gain, build, switch
 from gainforge.spectral import (
+    _cluster,
     certify_two_ev,
     char_poly_elementary,
     char_poly_from_eigenvalues,
@@ -28,6 +31,32 @@ def c4(gain=ONE):
 
 
 # -- eigenvalues and clustering -------------------------------------------------
+
+def _reference_clusters(values: list[float], tol: float) -> list[list[float]]:
+    """Sorted values, cut where a value is more than tol from the one before."""
+    clusters: list[list[float]] = []
+    for x in values:
+        if clusters and abs(x - clusters[-1][-1]) <= tol:
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
+    return clusters
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-64, 64), st.lists(st.integers(0, 8), max_size=12), st.booleans())
+def test_cluster_matches_a_sequential_loop(start, gaps, descending):
+    # values on a grid of tol / 4, so that a gap of 4 steps is exactly tol
+    tol = 2.0 ** -10
+    values = np.cumsum([start, *gaps]) * (tol / 4)
+    if descending:
+        values = values[::-1]
+    reference = _reference_clusters(values.tolist(), tol)
+    clusters = _cluster(values, tol)
+    assert [size for _, size in clusters] == [len(c) for c in reference]
+    assert [mean for mean, _ in clusters] == pytest.approx([sum(c) / len(c) for c in reference])
+    assert _cluster(values[:0], tol) == []
+
 
 def test_k3_spectrum_clusters():
     spec = eigenvalues(complete(3))
