@@ -315,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snap", type=int, default=cfg.snap_order)
     p.add_argument("--target-spectrum",
                    help="file of whitespace-separated target eigenvalues")
-    p.add_argument("--trace", help="write per-temperature best-f CSV here "
+    p.add_argument("--trace", help="write per-temperature best-f CSV here: one row "
+                   "per temperature annealed until the search converged or stalled "
                    "(only the header when the local solve needed no annealing)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_search)

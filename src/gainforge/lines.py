@@ -209,7 +209,10 @@ def bounds_check(m: int, s: int, has_zero: bool,
         report.distinct_lines = len(seen)
         report.absolute_ok = len(seen) <= bound
         target = -cert.k * cert.m / (g.n - cert.m)
-        U = (np.abs(g.matrix()) > 0.5).astype(float)
+        # the 0/1 support matrix: every gain has unit modulus
+        U = np.zeros((g.n, g.n))
+        u, v = np.array(list(g.gains), dtype=int).reshape(-1, 2).T
+        U[u, v] = U[v, u] = 1.0
         evs = np.linalg.eigvalsh(U)
         m_prime = int(np.sum(np.abs(evs - target) <= 1e-6))
         report.m_prime = m_prime

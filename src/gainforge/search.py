@@ -6,9 +6,11 @@ search stages work on one residual, R = A^2 - aA - kI fitted by least
 squares (``_fit``), which is zero exactly when the gain matrix has at most
 two distinct eigenvalues.  ``run_search`` solves locally first, by
 Levenberg–Marquardt on R (``refine_gains``) from each chain's seeded
-start, and falls back to simulated annealing on ||R||_F (``anneal``),
-polished by the same solve.  Converged results whose gains land on
-low-order roots of unity are snapped to an exact certified graph.
+start.  If none converges it anneals on ||R||_F, hands the chain's best
+state to the same solve as it cools, and gives the chain up once its
+best_f stalls (``_basin_hop``, basin hopping); ``anneal`` runs the bare
+chains to the end of their schedule.  Converged results whose gains land
+on low-order roots of unity are snapped to an exact certified graph.
 
 An objective is any callable that maps one Hermitian ``(n, n)`` matrix
 to a real number.  A Metropolis step costs one proposal, one objective
@@ -124,7 +126,8 @@ class SearchResult:
     snapped: Optional[GainGraph] = None
     snapped_cert: Optional[TwoEvCertificate] = None
     # the trace and the counters describe the annealing: empty and 0 when
-    # run_search's local solve converged without it
+    # run_search's local solve converged without it.  run_search stops a
+    # chain early, so its trace is a prefix of anneal's for the same config
     trace: list = field(default_factory=list)   # (temperature, best_f) rows
     seed: int = 0
     steps: int = 0          # Metropolis steps taken, one objective call each
@@ -157,7 +160,12 @@ def _seeded_start(m: int, seed: int):
 
 def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
                   objective: Objective, seed: int):
-    """One Metropolis chain; returns best_f, best_angles, trace and counters.
+    """One Metropolis chain, as a generator of its states.
+
+    Yields (t, best_f, best_angles, steps, accepted): first the start, with
+    t None and no step taken, then once after each temperature t.  It ends
+    when best_f falls below cfg.epsilon or t cools to cfg.tau; a consumer
+    may also stop early.
 
     Each temperature draws an (iters_per_temp, m) block of angle steps
     with one ``rng.uniform`` call, then its acceptance uniforms with one
@@ -181,7 +189,7 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
     f = objective(A)
     best_f, best_angles = f, angles.copy()
     steps = accepted = 0
-    trace = []
+    yield None, best_f, best_angles, steps, accepted
     t = cfg.t0
     converged = f < cfg.epsilon
     # with no free angle nothing moves: only the cooling is left
@@ -206,31 +214,31 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
                 if f < cfg.epsilon:
                     converged = True
                     break
-        trace.append((t, best_f))
+        yield t, best_f, best_angles, steps, accepted
         t *= cfg.alpha
         if t <= cfg.tau:
             break
-    return best_f, best_angles, trace, (steps, accepted)
 
 
 def anneal(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
            objective: Objective = objective_two_ev) -> SearchResult:
     """Run the annealing loop; returns the best state over all chains.
 
-    The trace logs (temperature, best_f) once per cooling step of the
-    winning chain; the counters sum over all chains.  Deterministic for
-    a fixed config.
+    Every chain runs its whole schedule, or until it converges.  The trace
+    logs (temperature, best_f) once per cooling step of the winning chain;
+    the counters sum over all chains.  Deterministic for a fixed config.
     """
     tree, free = _edge_layout(underlying)
     n = underlying.n
-    results = [_anneal_chain(n, tree, free, cfg, objective, cfg.seed + i)
-               for i in range(cfg.chains)]
-    best_f, best_angles, trace, _ = min(results, key=lambda r: r[0])
-    steps, accepted = (sum(c) for c in zip(*(r[3] for r in results)))
+    chains = [list(_anneal_chain(n, tree, free, cfg, objective, cfg.seed + i))
+              for i in range(cfg.chains)]
+    states = min(chains, key=lambda c: c[-1][1])
+    _, best_f, best_angles, _, _ = states[-1]
+    steps, accepted = (sum(c[-1][k] for c in chains) for k in (3, 4))
     g = _graph_from_state(n, tree, free, best_angles)
     status = "Converged" if best_f < cfg.epsilon else "Exhausted"
-    return SearchResult(status, g, best_f, trace=trace, seed=cfg.seed,
-                        steps=steps, accepted=accepted)
+    return SearchResult(status, g, best_f, trace=[(t, f) for t, f, *_ in states[1:]],
+                        seed=cfg.seed, steps=steps, accepted=accepted)
 
 
 # -- distillation -----------------------------------------------------------------
@@ -327,12 +335,61 @@ def snap_gains(g: GainGraph, Q: int = 24) -> Optional[tuple[GainGraph, TwoEvCert
     return None if cert is None else (snapped, cert)
 
 
+# run_search's annealed fallback hands the chain's best state to
+# refine_gains whenever its best_f has halved since the last hand-off, and
+# gives the chain up after _STALL temperatures in a row in which its own
+# best_f fell by less than the fraction _STALL_DROP
+_STALL = 10
+_STALL_DROP = 1e-3
+
+
+def _basin_hop(n: int, tree: list, free: list, cfg: SearchConfig,
+               objective: Objective, seed: int) -> SearchResult:
+    """One chain of run_search's fallback: annealing polished as it cools.
+
+    Returns the better of the chain's best state and the polished graphs
+    the objective scored lower than the chain did; the trace and counters
+    are the chain's, up to the temperature where it stopped.
+    """
+    chain = _anneal_chain(n, tree, free, cfg, objective, seed)
+    _, best_f, best_angles, steps, accepted = next(chain)
+    polished, polished_f = None, math.inf
+    handed = prev = math.inf
+    trace, stalled = [], 0
+    for t, best_f, best_angles, steps, accepted in chain:
+        trace.append((t, best_f))
+        if best_f <= handed / 2:
+            handed = best_f
+            g = refine_gains(_graph_from_state(n, tree, free, best_angles))
+            f = objective(g.matrix())
+            if f < min(best_f, polished_f):
+                polished, polished_f = g, f
+                if f < cfg.epsilon:
+                    break
+        # a stall is judged on the chain's own best_f, not on the polished one
+        stalled = stalled + 1 if best_f > (1 - _STALL_DROP) * prev else 0
+        prev = best_f
+        if stalled == _STALL:
+            break
+    if polished_f < best_f:
+        g, f = polished, polished_f
+    else:
+        g, f = _graph_from_state(n, tree, free, best_angles), best_f
+    status = "Converged" if f < cfg.epsilon else "Exhausted"
+    return SearchResult(status, g, f, trace=trace, seed=cfg.seed,
+                        steps=steps, accepted=accepted)
+
+
 def run_search(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
                objective: Objective = objective_two_ev) -> SearchResult:
-    """refine_gains from each chain's seeded start; anneal and refine if none converges.
+    """refine_gains from each chain's seeded start; if none converges, anneal and polish.
 
-    "Converged" means the objective of best_gains is below cfg.epsilon; a
-    converged run is snapped to low-order roots of unity if they re-certify.
+    The fallback runs the chains in turn (``_basin_hop``) and stops at the
+    first that converges, or returns the best; the trace is the winning
+    chain's, the counters sum over the chains that ran.  Its result is
+    polished once more by refine_gains.  "Converged" means the objective of
+    best_gains is below cfg.epsilon; a converged run is snapped to
+    low-order roots of unity if they re-certify.
     """
     tree, free = _edge_layout(underlying)
     for i in range(cfg.chains):
@@ -343,7 +400,14 @@ def run_search(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
             result = SearchResult("Converged", g, f, seed=cfg.seed)
             break
     else:
-        result = anneal(underlying, cfg, objective)
+        results = []
+        for i in range(cfg.chains):
+            results.append(_basin_hop(underlying.n, tree, free, cfg, objective, cfg.seed + i))
+            if results[-1].status == "Converged":
+                break
+        result = min(results, key=lambda r: r.best_f)
+        result.steps = sum(r.steps for r in results)
+        result.accepted = sum(r.accepted for r in results)
         refined = refine_gains(result.best_gains)
         refined_f = objective(refined.matrix())
         if refined_f < result.best_f:

@@ -125,7 +125,7 @@ def predicted_thetas(n: int, m: int, k: int) -> tuple[float, float]:
     theta1 = sqrt(k(n-m)/m) with multiplicity m, theta2 = -sqrt(km/(n-m));
     cross-checked against the quadratic-formula form.
     """
-    if not (0 < m <= n / 2) or k <= 0:
+    if not (0 < m <= n / 2 and k > 0):      # NaN fails it
         raise InvalidParameters(f"need 0 < m <= n/2 and k > 0, got {(n, m, k)}")
     t1 = math.sqrt(k * (n - m) / m)
     t2 = -math.sqrt(k * m / (n - m))

@@ -453,18 +453,78 @@ def test_run_search_anneals_exactly_when_the_local_solve_fails(support):
     cfg = SearchConfig(seed=1, chains=2, **SHORT)
     res = run_search(support, cfg)
     annealed = anneal(support, cfg)
-    assert res.trace == annealed.trace
-    assert (res.steps, res.accepted) == (annealed.steps, annealed.accepted)
     assert res.status == "Exhausted" and res.best_f <= annealed.best_f
+    # each chain runs the first temperatures of anneal's, so the trace is a
+    # prefix of the winning chain's and the counters add one state of each
+    tree, free = search._edge_layout(support)
+    chains = [list(search._anneal_chain(support.n, tree, free, cfg, objective_two_ev,
+                                        cfg.seed + i)) for i in range(cfg.chains)]
+    assert annealed.trace in [[(t, f) for t, f, *_ in c[1:]] for c in chains]
+    k = len(res.trace)
+    assert res.trace in [[(t, f) for t, f, *_ in c[1:k + 1]] for c in chains]
+    assert (res.steps, res.accepted) in {(a[3] + b[3], a[4] + b[4])
+                                         for a in chains[0][1:] for b in chains[1][1:]}
+    assert res.steps <= annealed.steps and res.accepted <= annealed.accepted
 
 
-def test_run_search_keeps_a_local_answer_only_if_the_objective_takes_it():
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_search_gives_up_on_the_control_before_the_schedule_ends(seed):
+    support = octagon_complement()
+    cfg = SearchConfig(seed=seed, **QUICK)
+    res = run_search(support, cfg)
+    assert res.status == "Exhausted" and res.snapped is None
+    # 0.9^88 <= 1e-4 < 0.9^87: anneal runs 88 temperatures
+    annealed = anneal(support, cfg)
+    assert len(annealed.trace) == 88
+    assert 0 < len(res.trace) < 88
+    assert res.trace == annealed.trace[:len(res.trace)]
+    assert res.steps == len(res.trace) * QUICK["iters_per_temp"]
+
+
+def test_run_search_on_a_path_stops_after_ten_stalled_temperatures():
+    path = build(3, [(0, 1, ONE), (1, 2, ONE)])
+    cfg = SearchConfig(seed=1, **QUICK)
+    res = run_search(path, cfg)
+    # no free angle, so best_f never moves: the first temperature, then ten stalled
+    assert res.status == "Exhausted" and len(res.trace) == 11
+    assert res.trace == anneal(path, cfg).trace[:11]
+    assert (res.steps, res.accepted) == (0, 0)
+
+
+def test_run_search_converges_the_cube_fallbacks_at_a_hand_off():
+    # the seeds whose local solve from the seeded start fails
+    support = SUPPORTS["cube"]()
+    target = catalog_entry("ND(IG(W2))").build()
+    for seed in (1, 12, 14, 17, 20, 21):
+        res = run_search(support, SearchConfig(seed=seed, **QUICK))
+        assert res.status == "Converged" and res.best_f < 1e-6, seed
+        assert 0 < len(res.trace) < 88, seed
+        assert res.snapped is not None, seed
+        cert = certify_two_ev(res.snapped, tol=1e-9)
+        assert res.snapped_cert is not None and cert == res.snapped_cert
+        h = build(8, [(u, v, -w) for u, v, w in res.snapped.edges()]) \
+            if cert.negated else res.snapped
+        assert switching_isomorphic(h, target, tol=1e-6) is not None, seed
+
+
+def test_run_search_keeps_a_local_answer_only_if_the_objective_takes_it(monkeypatch):
     target = np.array([2.0, 0.0, 0.0, -2.0])
     cfg = SearchConfig(seed=4, **QUICK)
+    refine, polished = search.refine_gains, []
+
+    def recorded(g):
+        polished.append(refine(g))
+        return polished[-1]
+
+    monkeypatch.setattr(search, "refine_gains", recorded)
     res = run_search(c4(), cfg, objective=lambda A: objective_cospectral(A, target))
-    # the local solve finds the quarter-turn square, spectrum +-sqrt 2
+    # the local solve and every hand-off find the quarter-turn square,
+    # spectrum +-sqrt 2, which the objective rejects
     assert res.steps > 0 and res.trace
+    assert len(polished) > 3
+    assert all(res.best_gains is not h for h in polished)
     assert res.status == "Converged" and res.best_f < 1e-6
+    assert np.allclose(np.linalg.eigvalsh(res.best_gains.matrix()), np.sort(target), atol=1e-3)
 
 
 def test_cospectral_search_hits_a_prescribed_spectrum():

@@ -136,6 +136,10 @@ def test_predicted_thetas_validates_inputs():
         predicted_thetas(6, 4, 3)  # m > n/2
     with pytest.raises(InvalidParameters):
         predicted_thetas(6, 2, 0)
+    # NaN fails every comparison, so k must pass k > 0, not fail k <= 0
+    for bad in [(8, 2, math.nan), (8, math.nan, 3)]:
+        with pytest.raises(InvalidParameters):
+            predicted_thetas(*bad)
 
 
 def test_integer_a_checks_on_k5():
