@@ -225,6 +225,8 @@ def _cmd_search(args) -> int:
     if args.target_spectrum:
         target = np.array([float(tok) for tok in
                            _read(args.target_spectrum).split()])
+        if not np.isfinite(target).all():
+            raise ValueError(f"{args.target_spectrum}: target eigenvalues must be finite")
         objective = lambda A: search_mod.objective_cospectral(A, target)
     else:
         objective = search_mod.objective_two_ev
@@ -311,7 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=cfg.iters_per_temp)
     p.add_argument("--eps", type=float, default=cfg.epsilon)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--chains", type=int, default=cfg.chains)
+    p.add_argument("--chains", type=int, default=cfg.chains,
+                   help="chains run in turn at seeds seed, seed+1, ...: each solves locally "
+                   "from its start, then anneals; the first to converge ends the search")
     p.add_argument("--snap", type=int, default=cfg.snap_order)
     p.add_argument("--target-spectrum",
                    help="file of whitespace-separated target eigenvalues")

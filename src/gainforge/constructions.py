@@ -625,12 +625,17 @@ def catalog_verify_all(tol: float = 1e-8, only: Optional[str] = None,
     keep catalog order.  An entry with free parameters is built from 5
     draws of them, from a generator with a fixed seed, and passes only
     when every draw does; its row shows the first certificate and the
-    worst residual of the passing draws.
+    worst residual of the passing draws.  A tag ``only`` that no entry
+    carries raises UnknownName.
     """
     rng = np.random.default_rng(20240801)
     if entries is None:
         entries = catalog()
     if only is not None:
+        tags = set().union(*(e.tags for e in entries))
+        if only not in tags:
+            raise UnknownName(f"no catalog entry carries the tag {only!r}; "
+                              f"known tags: {', '.join(sorted(tags))}")
         entries = [e for e in entries if only in e.tags]
     rows = [CSV_HEADER]
     all_ok = True

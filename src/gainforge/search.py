@@ -4,12 +4,12 @@ The state space is a torus: one free angle per non-tree edge (a spanning
 tree can always be switched to gain 1, so its edges are pinned).  Both
 search stages work on one residual, R = A^2 - aA - kI fitted by least
 squares (``_fit``), which is zero exactly when the gain matrix has at most
-two distinct eigenvalues.  ``run_search`` solves locally first, by
-Levenberg–Marquardt on R (``refine_gains``) from each chain's seeded
-start.  If none converges it anneals on ||R||_F, hands the chain's best
-state to the same solve as it cools, and gives the chain up once its
-best_f stalls (``_basin_hop``, basin hopping); ``anneal`` runs the bare
-chains to the end of their schedule.  Converged results whose gains land
+two distinct eigenvalues.  ``run_search`` runs its chains in turn until
+one converges; each (``_basin_hop``) solves locally, by Levenberg–Marquardt
+on R (``refine_gains``), from its seeded start, and if that fails anneals
+on ||R||_F, hands its best state to the same solve as it cools (basin
+hopping) until it converges or stalls, and polishes it once at the end.
+``anneal`` runs the bare chains to the end of their schedule.  Converged results whose gains land
 on low-order roots of unity are snapped to an exact certified graph.
 
 An objective is any callable that maps one Hermitian ``(n, n)`` matrix
@@ -125,9 +125,9 @@ class SearchResult:
     best_f: float
     snapped: Optional[GainGraph] = None
     snapped_cert: Optional[TwoEvCertificate] = None
-    # the trace and the counters describe the annealing: empty and 0 when
-    # run_search's local solve converged without it.  run_search stops a
-    # chain early, so its trace is a prefix of anneal's for the same config
+    # the winning chain's annealing, empty if its start solved; the counters
+    # sum over the chains that ran, so they may be nonzero with an empty
+    # trace.  A chain stops early: its trace is a prefix of anneal's
     trace: list = field(default_factory=list)   # (temperature, best_f) rows
     seed: int = 0
     steps: int = 0          # Metropolis steps taken, one objective call each
@@ -335,46 +335,55 @@ def snap_gains(g: GainGraph, Q: int = 24) -> Optional[tuple[GainGraph, TwoEvCert
     return None if cert is None else (snapped, cert)
 
 
-# run_search's annealed fallback hands the chain's best state to
-# refine_gains whenever its best_f has halved since the last hand-off, and
-# gives the chain up after _STALL temperatures in a row in which its own
-# best_f fell by less than the fraction _STALL_DROP
+# each chain of run_search hands its best state to refine_gains whenever
+# its best_f has halved since the last hand-off, and gives up after _STALL
+# temperatures in a row in which its own best_f did not fall below the
+# fraction 1 - _STALL_DROP of the last one's
 _STALL = 10
 _STALL_DROP = 1e-3
 
 
 def _basin_hop(n: int, tree: list, free: list, cfg: SearchConfig,
                objective: Objective, seed: int) -> SearchResult:
-    """One chain of run_search's fallback: annealing polished as it cools.
+    """One chain of run_search: start, anneal, one closing polish.
 
-    Returns the better of the chain's best state and the polished graphs
-    the objective scored lower than the chain did; the trace and counters
-    are the chain's, up to the temperature where it stopped.
+    Returns the local solve from the seeded start if it converges, with no
+    trace.  Else anneals with hand-offs until a polish converges or the
+    chain ends, polishes its final best state unless the last hand-off did,
+    and returns the lowest of that state and every polish, the start's
+    included, with the chain's trace and counters.
     """
+    def polish(angles, kept=None):
+        """refine_gains from these angles with its score, or kept if that scores no higher."""
+        g = refine_gains(_graph_from_state(n, tree, free, angles))
+        f = objective(g.matrix())
+        return (g, f) if kept is None or f < kept[1] else kept
+
+    best = polish(_seeded_start(len(free), seed)[1])
+    if best[1] < cfg.epsilon:
+        return SearchResult("Converged", *best, seed=cfg.seed)
     chain = _anneal_chain(n, tree, free, cfg, objective, seed)
     _, best_f, best_angles, steps, accepted = next(chain)
-    polished, polished_f = None, math.inf
     handed = prev = math.inf
+    handed_angles = None
     trace, stalled = [], 0
     for t, best_f, best_angles, steps, accepted in chain:
         trace.append((t, best_f))
         if best_f <= handed / 2:
-            handed = best_f
-            g = refine_gains(_graph_from_state(n, tree, free, best_angles))
-            f = objective(g.matrix())
-            if f < min(best_f, polished_f):
-                polished, polished_f = g, f
-                if f < cfg.epsilon:
-                    break
-        # a stall is judged on the chain's own best_f, not on the polished one
-        stalled = stalled + 1 if best_f > (1 - _STALL_DROP) * prev else 0
+            handed, handed_angles = best_f, best_angles
+            best = polish(best_angles, best)
+            if best[1] < cfg.epsilon:
+                break
+        # a stall is judged on the chain's own best_f, not on the polished
+        # one; a NaN or infinite best_f never falls, so it stalls
+        stalled = 0 if best_f < (1 - _STALL_DROP) * prev else stalled + 1
         prev = best_f
         if stalled == _STALL:
             break
-    if polished_f < best_f:
-        g, f = polished, polished_f
-    else:
-        g, f = _graph_from_state(n, tree, free, best_angles), best_f
+    # the chain yields a new array only when its best state moves
+    if best_angles is not handed_angles:
+        best = polish(best_angles, best)
+    g, f = best if best[1] < best_f else (_graph_from_state(n, tree, free, best_angles), best_f)
     status = "Converged" if f < cfg.epsilon else "Exhausted"
     return SearchResult(status, g, f, trace=trace, seed=cfg.seed,
                         steps=steps, accepted=accepted)
@@ -382,37 +391,24 @@ def _basin_hop(n: int, tree: list, free: list, cfg: SearchConfig,
 
 def run_search(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
                objective: Objective = objective_two_ev) -> SearchResult:
-    """refine_gains from each chain's seeded start; if none converges, anneal and polish.
+    """Run the chains in turn (``_basin_hop``), each start → anneal → closing polish.
 
-    The fallback runs the chains in turn (``_basin_hop``) and stops at the
-    first that converges, or returns the best; the trace is the winning
-    chain's, the counters sum over the chains that ran.  Its result is
-    polished once more by refine_gains.  "Converged" means the objective of
-    best_gains is below cfg.epsilon; a converged run is snapped to
-    low-order roots of unity if they re-certify.
+    Stops at the first chain that converges, or returns the one with the
+    lowest best_f; the trace is the winning chain's, the counters sum over
+    the chains that ran.  So a k-chain run is the single-chain runs at
+    seeds cfg.seed ... cfg.seed + k - 1 taken in turn.  "Converged" means
+    the objective of best_gains is below cfg.epsilon; a converged run is
+    snapped to low-order roots of unity if they re-certify.
     """
     tree, free = _edge_layout(underlying)
+    results = []
     for i in range(cfg.chains):
-        _, angles = _seeded_start(len(free), cfg.seed + i)
-        g = refine_gains(_graph_from_state(underlying.n, tree, free, angles))
-        f = objective(g.matrix())
-        if f < cfg.epsilon:
-            result = SearchResult("Converged", g, f, seed=cfg.seed)
+        results.append(_basin_hop(underlying.n, tree, free, cfg, objective, cfg.seed + i))
+        if results[-1].status == "Converged":
             break
-    else:
-        results = []
-        for i in range(cfg.chains):
-            results.append(_basin_hop(underlying.n, tree, free, cfg, objective, cfg.seed + i))
-            if results[-1].status == "Converged":
-                break
-        result = min(results, key=lambda r: r.best_f)
-        result.steps = sum(r.steps for r in results)
-        result.accepted = sum(r.accepted for r in results)
-        refined = refine_gains(result.best_gains)
-        refined_f = objective(refined.matrix())
-        if refined_f < result.best_f:
-            result.best_gains, result.best_f = refined, refined_f
-            result.status = "Converged" if refined_f < cfg.epsilon else "Exhausted"
+    result = min(results, key=lambda r: r.best_f)
+    result.steps = sum(r.steps for r in results)
+    result.accepted = sum(r.accepted for r in results)
     if result.status == "Converged":
         snap = snap_gains(result.best_gains, cfg.snap_order)
         if snap is not None:

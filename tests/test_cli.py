@@ -146,6 +146,13 @@ def test_catalog_verify_only_degree4(capsys):
     assert all(row.endswith("PASS") for row in rows[1:])
 
 
+def test_catalog_verify_only_an_unknown_tag_is_a_usage_error(capsys):
+    assert main(["catalog", "--verify-all", "--only", "nosuchtag"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nosuchtag" in captured.err and "degree4" in captured.err
+
+
 # -- equiv / iso ------------------------------------------------------------------
 
 def test_equiv_reports_a_witness(tmp_path, capsys):
@@ -344,6 +351,19 @@ def test_search_takes_an_unsorted_target_spectrum(tmp_path, capsys):
         results.append((code, capsys.readouterr().out, out.read_text()))
     assert results[0] == results[1]
     assert results[0][0] == 0 and results[0][1].startswith("Converged")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_search_rejects_a_non_finite_target_spectrum(tmp_path, capsys, bad):
+    spectrum = tmp_path / "target.txt"
+    spectrum.write_text(f"{bad} 0 0 -2\n")
+    out, trace = tmp_path / "out.gg", tmp_path / "trace.csv"
+    code = main(["search", "--underlying", c4_path(tmp_path), "--seed", "0",
+                 "--target-spectrum", str(spectrum), "-o", str(out), "--trace", str(trace)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+    assert not out.exists() and not trace.exists()
 
 
 # -- plumbing ---------------------------------------------------------------------

@@ -307,6 +307,13 @@ def test_catalog_verify_all_fails_a_wrong_spectrum_at_nan_tol():
         assert not ok and rows[1].endswith(",FAIL"), tol
 
 
+def test_catalog_verify_all_rejects_a_tag_no_entry_carries():
+    with pytest.raises(UnknownName, match="degree4"):
+        catalog_verify_all(only="nosuchtag")
+    with pytest.raises(UnknownName, match="table2"):
+        catalog_verify_all(only="degree4", entries=[catalog_entry("K4")])
+
+
 def test_complete_graph_certificate():
     cert = certify_two_ev(complete(6))
     assert cert.theta1 == pytest.approx(5.0) and cert.m == 1

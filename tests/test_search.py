@@ -527,6 +527,51 @@ def test_run_search_keeps_a_local_answer_only_if_the_objective_takes_it(monkeypa
     assert np.allclose(np.linalg.eigvalsh(res.best_gains.matrix()), np.sort(target), atol=1e-3)
 
 
+@pytest.mark.parametrize("name", ["C4", "cube", "octagon complement", "path"])
+def test_a_multi_chain_search_is_its_single_chain_runs_in_turn(name):
+    support = build(3, [(0, 1, ONE), (1, 2, ONE)]) if name == "path" else SUPPORTS[name]()
+    single = [run_search(support, SearchConfig(seed=s, **SHORT)) for s in range(8)]
+    for seed in range(6):
+        res = run_search(support, SearchConfig(seed=seed, chains=3, **SHORT))
+        ran = []
+        for r in single[seed:seed + 3]:
+            ran.append(r)
+            if r.status == "Converged":
+                break
+        want = min(ran, key=lambda r: r.best_f)
+        assert (res.status, res.best_f, res.trace) == (want.status, want.best_f, want.trace), seed
+        assert np.array_equal(res.best_gains.matrix(), want.best_gains.matrix()), seed
+        assert res.steps == sum(r.steps for r in ran), seed
+        assert res.accepted == sum(r.accepted for r in ran), seed
+
+
+@pytest.mark.parametrize("seed", range(4, 9))
+def test_run_search_never_polishes_the_same_state_twice(monkeypatch, seed):
+    target = np.array([2.0, 0.0, 0.0, -2.0])
+    refine, inputs = search.refine_gains, []
+
+    def recorded(g):
+        inputs.append(g.matrix().tobytes())
+        return refine(g)
+
+    monkeypatch.setattr(search, "refine_gains", recorded)
+    res = run_search(c4(), SearchConfig(seed=seed, **QUICK),
+                     objective=lambda A: objective_cospectral(A, target))
+    assert res.status == "Converged"
+    assert len(inputs) == len(set(inputs))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_search_gives_up_quickly_on_a_non_finite_objective(bad):
+    target = np.array([bad, 0.0, 0.0, -2.0])
+    res = run_search(c4(), SearchConfig(seed=0, **QUICK),
+                     objective=lambda A: objective_cospectral(A, target))
+    # best_f never falls, so every temperature counts as stalled
+    assert res.status == "Exhausted" and not math.isfinite(res.best_f)
+    assert 0 < len(res.trace) <= 11
+    assert res.steps == len(res.trace) * QUICK["iters_per_temp"]
+
+
 def test_cospectral_search_hits_a_prescribed_spectrum():
     target = np.array([2.0, 0.0, 0.0, -2.0])
     cfg = SearchConfig(seed=4, **QUICK)
