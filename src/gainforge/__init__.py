@@ -32,7 +32,6 @@ from .spectral import (
     char_poly_elementary,
     char_poly_from_eigenvalues,
     eigenvalues,
-    integer_a_checks,
     predicted_thetas,
 )
 from .constructions import (

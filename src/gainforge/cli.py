@@ -216,7 +216,7 @@ def _search_config(args) -> search_mod.SearchConfig:
     return search_mod.SearchConfig(
         t0=args.t0, alpha=args.alpha, tau=args.tau,
         iters_per_temp=args.iters, epsilon=args.eps,
-        seed=seed, chains=args.chains, snap_order=args.snap)
+        seed=seed, snap_order=args.snap)
 
 
 def _cmd_search(args) -> int:
@@ -312,16 +312,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=cfg.tau)
     p.add_argument("--iters", type=int, default=cfg.iters_per_temp)
     p.add_argument("--eps", type=float, default=cfg.epsilon)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--chains", type=int, default=cfg.chains,
-                   help="chains run in turn at seeds seed, seed+1, ...: each solves locally "
-                   "from its start, then anneals; the first to converge ends the search")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the one chain (default $GAINFORGE_SEED, else 0); "
+                   "a multi-start search reruns with the next seed after exit 3")
     p.add_argument("--snap", type=int, default=cfg.snap_order)
     p.add_argument("--target-spectrum",
                    help="file of whitespace-separated target eigenvalues")
     p.add_argument("--trace", help="write per-temperature best-f CSV here: one row "
                    "per temperature annealed until the search converged or stalled "
-                   "(only the header when the local solve needed no annealing)")
+                   "(only the header when the local solve from the start converged or the "
+                   "support has no free angle)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_search)
 

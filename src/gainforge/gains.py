@@ -391,6 +391,8 @@ class _Budget:
     """Node expansions left to a budgeted search; Timeout once they run out."""
 
     def __init__(self, limit: int, search: str):
+        if limit < 0:
+            raise ValueError(f"{search} budget must be non-negative, got {limit}")
         self.left = limit
         self.limit = limit
         self.search = search

@@ -4,13 +4,14 @@ The state space is a torus: one free angle per non-tree edge (a spanning
 tree can always be switched to gain 1, so its edges are pinned).  Both
 search stages work on one residual, R = A^2 - aA - kI fitted by least
 squares (``_fit``), which is zero exactly when the gain matrix has at most
-two distinct eigenvalues.  ``run_search`` runs its chains in turn until
-one converges; each (``_basin_hop``) solves locally, by Levenberg–Marquardt
-on R (``refine_gains``), from its seeded start, and if that fails anneals
-on ||R||_F, hands its best state to the same solve as it cools (basin
+two distinct eigenvalues.  One call runs one chain, seeded with
+``cfg.seed``.  ``run_search`` solves locally, by Levenberg–Marquardt on R
+(``refine_gains``), from the seeded start, and if that fails anneals on
+||R||_F, hands its best state to the same solve as it cools (basin
 hopping) until it converges or stalls, and polishes it once at the end.
-``anneal`` runs the bare chains to the end of their schedule.  Converged results whose gains land
-on low-order roots of unity are snapped to an exact certified graph.
+``anneal`` runs the bare chain to the end of its schedule.  Converged
+results whose gains land on low-order roots of unity are snapped to an
+exact certified graph.  A multi-start search is a loop over seeds.
 
 An objective is any callable that maps one Hermitian ``(n, n)`` matrix
 to a real number.  A Metropolis step costs one proposal, one objective
@@ -97,7 +98,6 @@ class SearchConfig:
     iters_per_temp: int = 2000
     epsilon: float = 1e-6
     seed: int = 0
-    chains: int = 1
     snap_order: int = 24
 
     def __post_init__(self) -> None:
@@ -112,8 +112,6 @@ class SearchConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.iters_per_temp <= 0:
             raise ValueError("iters_per_temp must be positive")
-        if self.chains < 1:
-            raise ValueError(f"chains must be at least 1, got {self.chains}")
         if self.snap_order < 1:
             raise ValueError(f"snap_order must be at least 1, got {self.snap_order}")
 
@@ -125,9 +123,9 @@ class SearchResult:
     best_f: float
     snapped: Optional[GainGraph] = None
     snapped_cert: Optional[TwoEvCertificate] = None
-    # the winning chain's annealing, empty if its start solved; the counters
-    # sum over the chains that ran, so they may be nonzero with an empty
-    # trace.  A chain stops early: its trace is a prefix of anneal's
+    # the chain's annealing, empty (with zero counters) if run_search's start
+    # solved or the support has no free angle; run_search stops the chain
+    # early, so its trace is a prefix of anneal's
     trace: list = field(default_factory=list)   # (temperature, best_f) rows
     seed: int = 0
     steps: int = 0          # Metropolis steps taken, one objective call each
@@ -159,8 +157,8 @@ def _seeded_start(m: int, seed: int):
 
 
 def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
-                  objective: Objective, seed: int):
-    """One Metropolis chain, as a generator of its states.
+                  objective: Objective):
+    """The Metropolis chain seeded with cfg.seed, as a generator of its states.
 
     Yields (t, best_f, best_angles, steps, accepted): first the start, with
     t None and no step taken, then once after each temperature t.  It ends
@@ -173,7 +171,7 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
     The block is 104 KB for the octagon complement (m = 13) at 500 steps
     per temperature, 416 KB at the default 2000.
     """
-    rng, angles = _seeded_start(len(free), seed)
+    rng, angles = _seeded_start(len(free), cfg.seed)
     m = len(free)
     A = _graph_from_state(n, tree, free, angles).matrix()
     # flat positions of the free entries above and below the diagonal
@@ -222,20 +220,15 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
 
 def anneal(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
            objective: Objective = objective_two_ev) -> SearchResult:
-    """Run the annealing loop; returns the best state over all chains.
+    """Run the annealing chain to the end of its schedule, or until it converges.
 
-    Every chain runs its whole schedule, or until it converges.  The trace
-    logs (temperature, best_f) once per cooling step of the winning chain;
-    the counters sum over all chains.  Deterministic for a fixed config.
+    The trace logs (temperature, best_f) once per cooling step.
+    Deterministic for a fixed config.
     """
     tree, free = _edge_layout(underlying)
-    n = underlying.n
-    chains = [list(_anneal_chain(n, tree, free, cfg, objective, cfg.seed + i))
-              for i in range(cfg.chains)]
-    states = min(chains, key=lambda c: c[-1][1])
-    _, best_f, best_angles, _, _ = states[-1]
-    steps, accepted = (sum(c[-1][k] for c in chains) for k in (3, 4))
-    g = _graph_from_state(n, tree, free, best_angles)
+    states = list(_anneal_chain(underlying.n, tree, free, cfg, objective))
+    _, best_f, best_angles, steps, accepted = states[-1]
+    g = _graph_from_state(underlying.n, tree, free, best_angles)
     status = "Converged" if best_f < cfg.epsilon else "Exhausted"
     return SearchResult(status, g, best_f, trace=[(t, f) for t, f, *_ in states[1:]],
                         seed=cfg.seed, steps=steps, accepted=accepted)
@@ -335,82 +328,68 @@ def snap_gains(g: GainGraph, Q: int = 24) -> Optional[tuple[GainGraph, TwoEvCert
     return None if cert is None else (snapped, cert)
 
 
-# each chain of run_search hands its best state to refine_gains whenever
-# its best_f has halved since the last hand-off, and gives up after _STALL
-# temperatures in a row in which its own best_f did not fall below the
+# run_search hands the chain's best state to refine_gains whenever its
+# best_f has halved since the last hand-off, and gives up after _STALL
+# temperatures in a row in which the chain's best_f did not fall below the
 # fraction 1 - _STALL_DROP of the last one's
 _STALL = 10
 _STALL_DROP = 1e-3
 
 
-def _basin_hop(n: int, tree: list, free: list, cfg: SearchConfig,
-               objective: Objective, seed: int) -> SearchResult:
-    """One chain of run_search: start, anneal, one closing polish.
+def run_search(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
+               objective: Objective = objective_two_ev) -> SearchResult:
+    """Start → anneal → one closing polish → snap, for the chain seeded with cfg.seed.
 
-    Returns the local solve from the seeded start if it converges, with no
-    trace.  Else anneals with hand-offs until a polish converges or the
-    chain ends, polishes its final best state unless the last hand-off did,
-    and returns the lowest of that state and every polish, the start's
-    included, with the chain's trace and counters.
+    Returns the local solve from the seeded start, with no trace and zero
+    counters, if it converges or the support has no free angle to anneal.
+    Else anneals with hand-offs until a polish converges or the chain
+    stalls or ends, polishes its final best state unless the last hand-off
+    did, and returns the lowest of that state and every polish, the
+    start's included, with the chain's trace and counters.  "Converged"
+    means the objective of best_gains is below cfg.epsilon; a converged
+    run is snapped to low-order roots of unity if they re-certify.
     """
+    tree, free = _edge_layout(underlying)
+    n = underlying.n
+
     def polish(angles, kept=None):
         """refine_gains from these angles with its score, or kept if that scores no higher."""
         g = refine_gains(_graph_from_state(n, tree, free, angles))
         f = objective(g.matrix())
         return (g, f) if kept is None or f < kept[1] else kept
 
-    best = polish(_seeded_start(len(free), seed)[1])
-    if best[1] < cfg.epsilon:
-        return SearchResult("Converged", *best, seed=cfg.seed)
-    chain = _anneal_chain(n, tree, free, cfg, objective, seed)
-    _, best_f, best_angles, steps, accepted = next(chain)
-    handed = prev = math.inf
-    handed_angles = None
-    trace, stalled = [], 0
-    for t, best_f, best_angles, steps, accepted in chain:
-        trace.append((t, best_f))
-        if best_f <= handed / 2:
-            handed, handed_angles = best_f, best_angles
-            best = polish(best_angles, best)
-            if best[1] < cfg.epsilon:
+    best = polish(_seeded_start(len(free), cfg.seed)[1])
+    trace, steps, accepted = [], 0, 0
+    if free and not best[1] < cfg.epsilon:
+        chain = _anneal_chain(n, tree, free, cfg, objective)
+        _, best_f, best_angles, steps, accepted = next(chain)
+        handed = prev = math.inf
+        handed_angles = None
+        stalled = 0
+        for t, best_f, best_angles, steps, accepted in chain:
+            trace.append((t, best_f))
+            if best_f <= handed / 2:
+                handed, handed_angles = best_f, best_angles
+                best = polish(best_angles, best)
+                if best[1] < cfg.epsilon:
+                    break
+            # a stall is judged on the chain's own best_f, not on the polished
+            # one; a NaN or infinite best_f never falls, so it stalls
+            stalled = 0 if best_f < (1 - _STALL_DROP) * prev else stalled + 1
+            prev = best_f
+            if stalled == _STALL:
                 break
-        # a stall is judged on the chain's own best_f, not on the polished
-        # one; a NaN or infinite best_f never falls, so it stalls
-        stalled = 0 if best_f < (1 - _STALL_DROP) * prev else stalled + 1
-        prev = best_f
-        if stalled == _STALL:
-            break
-    # the chain yields a new array only when its best state moves
-    if best_angles is not handed_angles:
-        best = polish(best_angles, best)
-    g, f = best if best[1] < best_f else (_graph_from_state(n, tree, free, best_angles), best_f)
+        # the chain yields a new array only when its best state moves
+        if best_angles is not handed_angles:
+            best = polish(best_angles, best)
+        if not best[1] < best_f:
+            best = _graph_from_state(n, tree, free, best_angles), best_f
+    g, f = best
     status = "Converged" if f < cfg.epsilon else "Exhausted"
-    return SearchResult(status, g, f, trace=trace, seed=cfg.seed,
-                        steps=steps, accepted=accepted)
-
-
-def run_search(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
-               objective: Objective = objective_two_ev) -> SearchResult:
-    """Run the chains in turn (``_basin_hop``), each start → anneal → closing polish.
-
-    Stops at the first chain that converges, or returns the one with the
-    lowest best_f; the trace is the winning chain's, the counters sum over
-    the chains that ran.  So a k-chain run is the single-chain runs at
-    seeds cfg.seed ... cfg.seed + k - 1 taken in turn.  "Converged" means
-    the objective of best_gains is below cfg.epsilon; a converged run is
-    snapped to low-order roots of unity if they re-certify.
-    """
-    tree, free = _edge_layout(underlying)
-    results = []
-    for i in range(cfg.chains):
-        results.append(_basin_hop(underlying.n, tree, free, cfg, objective, cfg.seed + i))
-        if results[-1].status == "Converged":
-            break
-    result = min(results, key=lambda r: r.best_f)
-    result.steps = sum(r.steps for r in results)
-    result.accepted = sum(r.accepted for r in results)
-    if result.status == "Converged":
-        snap = snap_gains(result.best_gains, cfg.snap_order)
+    result = SearchResult(status, g, f, trace=trace, seed=cfg.seed,
+                          steps=steps, accepted=accepted)
+    if status == "Converged":
+        snap = snap_gains(g, cfg.snap_order)
         if snap is not None:
             result.snapped, result.snapped_cert = snap
     return result

@@ -89,8 +89,11 @@ def certify_two_ev(g: GainGraph, tol: float = 1e-9) -> Optional[TwoEvCertificate
     """Certify that the gain matrix has exactly two distinct eigenvalues.
 
     Returns None when the clustered spectrum has more or fewer than two
-    values, or when the minimal-polynomial residual check fails.
+    values, or when the minimal-polynomial residual check fails.  Raises
+    ValueError unless 0 <= tol < inf.
     """
+    if not 0 <= tol < math.inf:     # NaN fails it
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if g.n == 0 or not g.gains:
         raise EmptyGraph("certification needs at least one edge")
     if not is_connected(g):
@@ -136,32 +139,6 @@ def predicted_thetas(n: int, m: int, k: int) -> tuple[float, float]:
        abs(alt2 - t2) > 1e-12 * max(1.0, abs(t2)):
         raise InvalidParameters("quadratic-form cross-check failed")
     return t1, t2
-
-
-@dataclass
-class IntegerAChecks:
-    a_is_integer: bool
-    a_squared_plus_4k_is_square: Optional[bool]  # None when a is not an integer
-    multiplicity_quantity_is_square: bool  # k*n^2 / (m*(n-m))
-    consistent: bool
-
-
-def _is_perfect_square(x: float) -> bool:
-    """Whether x is within 1e-6 of the square of an integer."""
-    r = round(math.sqrt(max(x, 0.0)))
-    return abs(r * r - x) <= 1e-6
-
-
-def integer_a_checks(cert: TwoEvCertificate, n: int) -> IntegerAChecks:
-    """Arithmetic sanity conditions satisfied by integral certificates."""
-    a_int = abs(cert.a - round(cert.a)) <= 1e-6
-    sq1: Optional[bool] = None
-    if a_int:
-        sq1 = _is_perfect_square(round(cert.a) ** 2 + 4 * cert.k)
-    q = cert.k * n * n / (cert.m * (n - cert.m))
-    sq2 = _is_perfect_square(q)
-    consistent = (not a_int) or (bool(sq1) and sq2)
-    return IntegerAChecks(a_int, sq1, sq2, consistent)
 
 
 # -- characteristic polynomial from elementary subgraphs ---------------------

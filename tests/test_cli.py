@@ -101,6 +101,15 @@ def test_a_nan_gain_in_a_file_is_rejected_as_non_unit(command, tmp_path, capsys)
     assert "|z| = nan is not 1" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_verify_rejects_a_nan_or_negative_tolerance(tol, tmp_path, capsys):
+    path = write_graph(tmp_path, catalog_entry("K4").build())
+    assert main(["verify", path, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol must be finite and non-negative" in captured.err
+
+
 def test_verify_fail_line_and_exit_code(tmp_path, capsys):
     assert main(["verify", c4_path(tmp_path)]) == 4
     assert capsys.readouterr().out.strip() == "NOT-TWO-EV clusters=3"

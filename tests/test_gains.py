@@ -350,6 +350,13 @@ def test_switching_isomorphic_raises_timeout_past_its_budget():
         switching_isomorphic(g, h, budget=2 * 66 - 1)
 
 
+def test_switching_isomorphic_rejects_a_negative_budget():
+    # the pair passes the degree keys, so the search itself is reached
+    g = build(6, [(v, (v + 1) % 6, ONE) for v in range(6)])
+    with pytest.raises(ValueError, match="isomorphism search budget must be non-negative"):
+        switching_isomorphic(g, g, budget=-1)
+
+
 _HEXAGON = build(6, [(v, (v + 1) % 6, ONE) for v in range(6)])
 _HEXAGON_FLIPPED = build(6, [(v, (v + 1) % 6, ONE if v else -ONE) for v in range(6)])
 _K8STAR = fixed_catalog("K8star")

@@ -212,6 +212,11 @@ def test_find_basis_partition_budget_raises_timeout():
         find_basis_partition(geometry_lines("Witting"), budget=10)
 
 
+def test_find_basis_partition_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="basis-partition search budget must be non-negative"):
+        find_basis_partition(geometry_lines("MUB_C3", t=4), budget=-1)
+
+
 @pytest.mark.parametrize("name, kw, bases, budget", [
     ("MUB_C3", dict(t=4), 4, 12),
     ("Witting", {}, 10, 71),

@@ -207,7 +207,6 @@ def test_config_rejects_nan_and_a_temperature_that_never_cools(bad):
 @pytest.mark.parametrize("bad", [
     dict(t0=0, tau=-1),
     dict(t0=1, tau=-1, alpha=0.5),
-    dict(chains=0),
     dict(snap_order=0),
     dict(snap_order=-3),
 ])
@@ -256,12 +255,6 @@ def test_run_search_reports_exhausted_on_a_hopeless_support():
     assert res.status == "Exhausted"
     assert res.best_f > 1e-6
     assert res.snapped is None
-
-
-def test_extra_chains_only_improve_the_result():
-    base = anneal(c4(), SearchConfig(seed=9, **QUICK))
-    multi = anneal(c4(), SearchConfig(seed=9, chains=3, **QUICK))
-    assert multi.best_f <= base.best_f
 
 
 # the annealer written plainly: one proposal, one objective call and one
@@ -314,9 +307,8 @@ def _reference_chain(n: int, tree: list, free: list, cfg: SearchConfig,
 
 def _reference_anneal(underlying, cfg):
     tree, free = search._edge_layout(underlying)
-    results = [_reference_chain(underlying.n, tree, free, cfg, _numpy_two_ev,
-                                cfg.seed + i) for i in range(cfg.chains)]
-    best_f, best_angles, trace, _ = min(results, key=lambda r: r[0])
+    best_f, best_angles, trace, _ = _reference_chain(underlying.n, tree, free, cfg,
+                                                     _numpy_two_ev, cfg.seed)
     return best_f, search._graph_from_state(underlying.n, tree, free, best_angles), trace
 
 
@@ -326,8 +318,8 @@ SHORT = dict(t0=1.0, alpha=0.75, iters_per_temp=120, tau=1e-3, epsilon=1e-6)
 @pytest.mark.parametrize("name", sorted(SUPPORTS))
 def test_anneal_follows_the_reference_chain(name):
     support = SUPPORTS[name]()
-    for seed, chains in [(0, 1), (1, 1), (2, 1), (5, 3)]:
-        cfg = SearchConfig(seed=seed, chains=chains, **SHORT)
+    for seed in (0, 1, 2, 5):
+        cfg = SearchConfig(seed=seed, **SHORT)
         best_f, best_gains, trace = _reference_anneal(support, cfg)
         res = anneal(support, cfg)
         assert res.best_f == best_f
@@ -337,7 +329,7 @@ def test_anneal_follows_the_reference_chain(name):
 
 def test_counters_bound_each_other():
     for name in ("C4", "octagon complement"):
-        cfg = SearchConfig(seed=2, chains=2, **SHORT)
+        cfg = SearchConfig(seed=2, **SHORT)
         calls = []
 
         def counted(A):
@@ -347,8 +339,8 @@ def test_counters_bound_each_other():
         res = anneal(SUPPORTS[name](), cfg, objective=counted)
         assert all(type(c) is int for c in (res.steps, res.accepted))
         assert 0 < res.accepted <= res.steps
-        # one objective call per step, plus one per chain for its start
-        assert len(calls) == res.steps + cfg.chains
+        # one objective call per step, plus one for the start
+        assert len(calls) == res.steps + 1
     # an unconverged chain takes every step of its schedule
     res = anneal(octagon_complement(), SearchConfig(seed=2, **SHORT))
     assert res.status == "Exhausted"
@@ -445,25 +437,19 @@ def test_run_search_solves_known_supports_without_annealing(name):
         assert certify_two_ev(h, tol=tol) is not None
 
 
-# a path has no free angle, so its local solve has nothing to move
-@pytest.mark.parametrize("support", [octagon_complement(),
-                                     build(3, [(0, 1, ONE), (1, 2, ONE)])],
-                         ids=["octagon complement", "path"])
+@pytest.mark.parametrize("support", [octagon_complement()], ids=["octagon complement"])
 def test_run_search_anneals_exactly_when_the_local_solve_fails(support):
-    cfg = SearchConfig(seed=1, chains=2, **SHORT)
+    cfg = SearchConfig(seed=1, **SHORT)
     res = run_search(support, cfg)
     annealed = anneal(support, cfg)
     assert res.status == "Exhausted" and res.best_f <= annealed.best_f
-    # each chain runs the first temperatures of anneal's, so the trace is a
-    # prefix of the winning chain's and the counters add one state of each
+    # run_search runs the first temperatures of anneal's chain, so its trace
+    # is a prefix of anneal's and its counters are one state of that chain
     tree, free = search._edge_layout(support)
-    chains = [list(search._anneal_chain(support.n, tree, free, cfg, objective_two_ev,
-                                        cfg.seed + i)) for i in range(cfg.chains)]
-    assert annealed.trace in [[(t, f) for t, f, *_ in c[1:]] for c in chains]
-    k = len(res.trace)
-    assert res.trace in [[(t, f) for t, f, *_ in c[1:k + 1]] for c in chains]
-    assert (res.steps, res.accepted) in {(a[3] + b[3], a[4] + b[4])
-                                         for a in chains[0][1:] for b in chains[1][1:]}
+    states = list(search._anneal_chain(support.n, tree, free, cfg, objective_two_ev))
+    assert annealed.trace == [(t, f) for t, f, *_ in states[1:]]
+    assert 0 < len(res.trace) and res.trace == annealed.trace[:len(res.trace)]
+    assert (res.steps, res.accepted) in {(s[3], s[4]) for s in states[1:]}
     assert res.steps <= annealed.steps and res.accepted <= annealed.accepted
 
 
@@ -481,14 +467,22 @@ def test_run_search_gives_up_on_the_control_before_the_schedule_ends(seed):
     assert res.steps == len(res.trace) * QUICK["iters_per_temp"]
 
 
-def test_run_search_on_a_path_stops_after_ten_stalled_temperatures():
+def test_run_search_on_a_path_returns_its_start_at_once(monkeypatch):
     path = build(3, [(0, 1, ONE), (1, 2, ONE)])
     cfg = SearchConfig(seed=1, **QUICK)
+    refine, calls = search.refine_gains, []
+
+    def counted(g):
+        calls.append(1)
+        return refine(g)
+
+    monkeypatch.setattr(search, "refine_gains", counted)
     res = run_search(path, cfg)
-    # no free angle, so best_f never moves: the first temperature, then ten stalled
-    assert res.status == "Exhausted" and len(res.trace) == 11
-    assert res.trace == anneal(path, cfg).trace[:11]
+    # no free angle, so nothing can anneal: the start's polish is the answer
+    assert res.status == "Exhausted" and res.trace == []
     assert (res.steps, res.accepted) == (0, 0)
+    assert len(calls) == 1
+    assert res.best_f == anneal(path, cfg).best_f
 
 
 def test_run_search_converges_the_cube_fallbacks_at_a_hand_off():
@@ -525,24 +519,6 @@ def test_run_search_keeps_a_local_answer_only_if_the_objective_takes_it(monkeypa
     assert all(res.best_gains is not h for h in polished)
     assert res.status == "Converged" and res.best_f < 1e-6
     assert np.allclose(np.linalg.eigvalsh(res.best_gains.matrix()), np.sort(target), atol=1e-3)
-
-
-@pytest.mark.parametrize("name", ["C4", "cube", "octagon complement", "path"])
-def test_a_multi_chain_search_is_its_single_chain_runs_in_turn(name):
-    support = build(3, [(0, 1, ONE), (1, 2, ONE)]) if name == "path" else SUPPORTS[name]()
-    single = [run_search(support, SearchConfig(seed=s, **SHORT)) for s in range(8)]
-    for seed in range(6):
-        res = run_search(support, SearchConfig(seed=seed, chains=3, **SHORT))
-        ran = []
-        for r in single[seed:seed + 3]:
-            ran.append(r)
-            if r.status == "Converged":
-                break
-        want = min(ran, key=lambda r: r.best_f)
-        assert (res.status, res.best_f, res.trace) == (want.status, want.best_f, want.trace), seed
-        assert np.array_equal(res.best_gains.matrix(), want.best_gains.matrix()), seed
-        assert res.steps == sum(r.steps for r in ran), seed
-        assert res.accepted == sum(r.accepted for r in ran), seed
 
 
 @pytest.mark.parametrize("seed", range(4, 9))

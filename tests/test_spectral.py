@@ -18,7 +18,6 @@ from gainforge.spectral import (
     char_poly_elementary,
     char_poly_from_eigenvalues,
     eigenvalues,
-    integer_a_checks,
     predicted_thetas,
 )
 
@@ -142,11 +141,12 @@ def test_predicted_thetas_validates_inputs():
             predicted_thetas(*bad)
 
 
-def test_integer_a_checks_on_k5():
-    cert = certify_two_ev(complete(5))
-    chk = integer_a_checks(cert, 5)
-    assert chk.a_is_integer and chk.a_squared_plus_4k_is_square
-    assert chk.consistent
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_certify_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    # max(1e-8, 1e3 * nan) is 1e-8, so a NaN tol would certify at the floor
+    with pytest.raises(ValueError, match="tol must be"):
+        certify_two_ev(complete(5), tol=tol)
+    assert certify_two_ev(complete(5), tol=0.0) is not None
 
 
 # -- characteristic polynomial, two independent routes -----------------------------
