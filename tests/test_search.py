@@ -437,19 +437,25 @@ def test_run_search_solves_known_supports_without_annealing(name):
         assert certify_two_ev(h, tol=tol) is not None
 
 
-@pytest.mark.parametrize("support", [octagon_complement()], ids=["octagon complement"])
+# a path has no free angle, so its local solve fails with nothing to anneal
+@pytest.mark.parametrize("support", [octagon_complement(),
+                                     build(3, [(0, 1, ONE), (1, 2, ONE)])],
+                         ids=["octagon complement", "path"])
 def test_run_search_anneals_exactly_when_the_local_solve_fails(support):
     cfg = SearchConfig(seed=1, **SHORT)
     res = run_search(support, cfg)
     annealed = anneal(support, cfg)
     assert res.status == "Exhausted" and res.best_f <= annealed.best_f
     # run_search runs the first temperatures of anneal's chain, so its trace
-    # is a prefix of anneal's and its counters are one state of that chain
+    # is a prefix of anneal's and its counters are one state of that chain;
+    # on a path it stops at the chain's start state, before any temperature
     tree, free = search._edge_layout(support)
     states = list(search._anneal_chain(support.n, tree, free, cfg, objective_two_ev))
     assert annealed.trace == [(t, f) for t, f, *_ in states[1:]]
-    assert 0 < len(res.trace) and res.trace == annealed.trace[:len(res.trace)]
-    assert (res.steps, res.accepted) in {(s[3], s[4]) for s in states[1:]}
+    assert (len(res.trace) > 0) == bool(free)
+    assert res.trace == annealed.trace[:len(res.trace)]
+    ran = states[1:] if free else states[:1]
+    assert (res.steps, res.accepted) in {(s[3], s[4]) for s in ran}
     assert res.steps <= annealed.steps and res.accepted <= annealed.accepted
 
 
@@ -467,7 +473,9 @@ def test_run_search_gives_up_on_the_control_before_the_schedule_ends(seed):
     assert res.steps == len(res.trace) * QUICK["iters_per_temp"]
 
 
-def test_run_search_on_a_path_returns_its_start_at_once(monkeypatch):
+# a path once cooled through ten stalled temperatures before its closing
+# polish; it now stops before the first, with the start's polish as answer
+def test_run_search_on_a_path_stops_after_ten_stalled_temperatures(monkeypatch):
     path = build(3, [(0, 1, ONE), (1, 2, ONE)])
     cfg = SearchConfig(seed=1, **QUICK)
     refine, calls = search.refine_gains, []
