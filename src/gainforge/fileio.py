@@ -9,12 +9,17 @@ numeric ones.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParseError, SelfLoop
-from .gains import Gain, GainGraph, build
+from .errors import NonUnitGain, ParseError, SelfLoop
+from .gains import Gain, GainGraph, _assemble, _exact_values, _exponents
 from .lines import LineSystem
+
+
+# how far a numeric gain's modulus may stray from 1
+_UNIT_TOL = 1e-9
 
 
 def strip_comment(raw: str) -> str:
@@ -46,7 +51,11 @@ def format_gain(gain: Gain) -> str:
 
 def serialize_gaingraph(g: GainGraph) -> str:
     out = ["gaingraph v1", f"n {g.n}"]
-    out += [f"e {u} {v} {format_gain(gain)}" for u, v, gain in g.edges()]
+    # exponent k mod L is the reduced angle (k/d) / (L/d) for d = gcd(k, L)
+    d = np.gcd(g.k, g.L)
+    out += [f"e {u} {v} rot {p}/{q}" if p >= 0 else f"e {u} {v} num {z.real:.17g} {z.imag:.17g}"
+            for u, v, p, q, z in zip(g.u.tolist(), g.v.tolist(), (g.k // d).tolist(),
+                                     (g.L // d).tolist(), g.z.tolist())]
     return "\n".join(out) + "\n"
 
 
@@ -63,7 +72,7 @@ def parse_gaingraph(text: str) -> GainGraph:
     if n < 0:
         raise ParseError(rows[1][0], "vertex count must be nonnegative")
 
-    edges = []
+    us, vs, angles, values = [], [], [], []
     for lineno, tok in rows[2:]:
         if tok[0] != "e":
             raise ParseError(lineno, f"expected edge line, got {tok[0]!r}")
@@ -88,7 +97,8 @@ def parse_gaingraph(text: str) -> GainGraph:
                 raise ParseError(lineno, f"bad rotation {tok[4]!r}") from None
             if q <= 0 or not 0 <= p < q or math.gcd(p, q) != 1:
                 raise ParseError(lineno, f"rotation {p}/{q} not reduced into [0,1)")
-            gain = Gain.exact(p, q)
+            angles.append(Fraction(p, q))
+            values.append(0j)       # set from the angle below
         elif kind == "num":
             if len(tok) != 6:
                 raise ParseError(lineno, "num gain needs re and im")
@@ -96,11 +106,17 @@ def parse_gaingraph(text: str) -> GainGraph:
                 z = complex(float(tok[4]), float(tok[5]))
             except ValueError:
                 raise ParseError(lineno, "bad numeric gain components") from None
-            gain = Gain.numeric(z, tol=1e-9)   # NonUnitGain on bad modulus
+            if not abs(abs(z) - 1.0) <= _UNIT_TOL:      # as Gain.numeric tests it
+                raise NonUnitGain(f"|z| = {abs(z)!r} is not 1 within {_UNIT_TOL}")
+            angles.append(None)
+            values.append(z)
         else:
             raise ParseError(lineno, f"unknown gain kind {kind!r}")
-        edges.append((u, v, gain))
-    return build(n, edges)
+        us.append(u)
+        vs.append(v)
+    k, L = _exponents(angles)
+    z = _exact_values(k, np.array(values, dtype=complex), L, k >= 0)
+    return _assemble(n, np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp), k, z, L)
 
 
 # -- line systems ----------------------------------------------------------------

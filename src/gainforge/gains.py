@@ -13,6 +13,19 @@ while ``Gain.numeric(z)`` stores an arbitrary unit complex number.
 Exact gains survive switching and comparison without rounding, which is
 what makes equivalence tests on root-of-unity graphs decidable.
 
+``Gain`` is the value type at the API boundary; a ``GainGraph`` stores
+edge arrays.  The edges u < v sit in sorted key order in two index
+arrays, beside one complex array of values and, for exact gains, one
+integer array of exponents modulo L, the lcm of the graph's
+denominators.  So ``matrix`` is two fancy-index writes, exact switching
+is exponent addition mod L, and ``switch``, ``relabel`` and ``converse``
+are a few array operations.  They reproduce ``Gain`` arithmetic edge by
+edge, bit for bit: an exact value comes from ``_turn`` of its reduced
+angle, and a numeric product is formed as Python forms a complex
+product, in the order conj(s_u) * gain * s_v (numpy's complex multiply
+rounds differently).  ``gains``, the dict view of the same graph, is
+built on first use.
+
 Switching diagonals follow one rule: with the diagonal 1 at a first
 vertex, each edge out of a vertex whose entry is known fixes the entry
 at its other end.  ``_diagonal_entry`` states it for the equivalence and
@@ -23,10 +36,12 @@ which saves a ``Gain`` product per tree edge.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -141,19 +156,156 @@ MINUS_ONE = Gain.exact(1, 2)
 I_GAIN = Gain.exact(1, 4)
 
 
+# -- edge arrays ------------------------------------------------------------------
+#
+# The helpers below act on the (k, z) arrays of GainGraph edge by edge as Gain
+# acts on one gain, with the same bits (see the module docstring).
+
+def _int_array(values, L: int) -> np.ndarray:
+    """Exponents as int64, or as Python ints when L is too large for int64 sums."""
+    return np.asarray(values, dtype=np.int64 if L < 2 ** 62 else object)
+
+
+def _exponents(angles: list[Optional[Fraction]]) -> tuple[np.ndarray, int]:
+    """Exponents mod L of the angles, -1 for None, and L, the lcm of their denominators."""
+    L = math.lcm(*{a.denominator for a in angles if a is not None})
+    return _int_array([-1 if a is None else a.numerator * (L // a.denominator)
+                       for a in angles], L), L
+
+
+def _rescale(k: np.ndarray, L: int, to: int) -> np.ndarray:
+    """Exponents mod L as exponents mod `to`, a multiple of L; -1 stays -1."""
+    if to == L:
+        return k
+    k = _int_array(k, to)
+    return np.where(k >= 0, k * (to // L), -1)
+
+
+@functools.lru_cache(maxsize=4096)
+def _exact(j: int, L: int) -> Gain:
+    """Gain.exact(j, L) with its value computed; equal arguments share one Gain."""
+    angle = Fraction(j, L)
+    return Gain(angle, _turn(angle))
+
+
+def _roots(k: np.ndarray, L: int) -> np.ndarray:
+    """exp(2*pi*i*k/L) for exponents 0 <= k < L, with the bits of Gain.exact(k, L).value."""
+    return np.array([_exact(j, L)._z for j in k.tolist()], dtype=complex)
+
+
+def _exact_values(k: np.ndarray, z: np.ndarray, L: int, exact: np.ndarray) -> np.ndarray:
+    """z with its exact entries set from their exponents k mod L."""
+    if np.count_nonzero(exact):
+        z[exact] = _roots(k[exact], L)
+    return z
+
+
+def _conj(k: np.ndarray, z: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gain.conj, edge by edge."""
+    exact = k >= 0
+    if not np.count_nonzero(exact):
+        return k, z.conj()
+    k = np.where(exact, -k % L, -1)
+    return k, _exact_values(k, z.conj(), L, exact)
+
+
+def _mul(ka: np.ndarray, za: np.ndarray, kb: np.ndarray, zb: np.ndarray,
+         L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gain.__mul__, edge by edge: exact where both factors are."""
+    exact = (ka >= 0) & (kb >= 0)
+    count = np.count_nonzero(exact)
+    k = np.where(exact, (ka + kb) % L, -1) if count else np.full(len(exact), -1)
+    if count == len(k):
+        return k, _roots(k, L)
+    return k, _exact_values(k, _cmul(za, zb), L, exact)
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b entry by entry, formed as Python forms a complex product.
+
+    numpy's complex multiply rounds some products differently.
+    """
+    z = np.empty(len(a), dtype=complex)
+    z.real = a.real * b.real - a.imag * b.imag
+    z.imag = a.real * b.imag + a.imag * b.real
+    return z
+
+
+def _encode(gains: list[Gain]) -> tuple[np.ndarray, np.ndarray, int]:
+    """(k, z, L) of a list of gains."""
+    k, L = _exponents([x.angle for x in gains])
+    return k, np.array([x.value for x in gains], dtype=complex), L
+
+
+def _decode(k: np.ndarray, z: np.ndarray, L: int) -> list[Gain]:
+    """The Gain of each entry; equal exact gains are one shared Gain."""
+    return [Gain(None, w) if j < 0 else _exact(j, L) for j, w in zip(k.tolist(), z.tolist())]
+
+
+def _check_unit(z: np.ndarray, tol: float) -> None:
+    """Gain.numeric's modulus test on every entry; NaN fails it."""
+    r = np.hypot(z.real, z.imag)            # the bits of Python's abs
+    unit = np.abs(r - 1.0) <= tol
+    if np.count_nonzero(unit) < len(unit):
+        raise NonUnitGain(f"|z| = {r[np.argmin(unit)].item()!r} is not 1 within {tol}")
+
+
 # -- the graph type ---------------------------------------------------------
 
-@dataclass
 class GainGraph:
-    """A simple graph with unit gains on its edges.
+    """A simple graph with unit gains on its edges, stored as edge arrays.
 
-    ``gains`` maps (u, v) with u < v to the gain of the oriented edge
-    u -> v; the reverse orientation is implied by conjugation.  The
-    diagonal is implicitly zero.  Treat instances as immutable.
+    ``u`` and ``v`` hold the edges u < v in sorted order and ``z`` the value
+    of the gain of each u -> v; the reverse orientation carries the
+    conjugate and the diagonal is zero.  ``k`` holds each exact gain's
+    exponent mod ``L`` (gain exp(2*pi*i*k/L)), and -1 for a numeric gain.
+    Instances are immutable: the arrays are read-only, and ``gains``, a
+    read-only mapping from (u, v) to the Gain of u -> v in sorted key
+    order, is built on first use.  ``GainGraph(n, gains)`` takes such a
+    mapping.
     """
 
-    n: int
-    gains: dict[tuple[int, int], Gain] = field(default_factory=dict)
+    __slots__ = ("n", "u", "v", "k", "z", "L", "_gains")
+
+    def __init__(self, n: int, gains: Optional[Mapping[tuple[int, int], Gain]] = None):
+        keys = sorted(gains or ())
+        pairs = np.array(keys, dtype=np.intp).reshape(-1, 2)
+        u, v = pairs[:, 0].copy(), pairs[:, 1].copy()
+        if not ((0 <= u) & (u < v) & (v < n)).all():
+            raise IndexOutOfRange(f"gain keys must satisfy 0 <= u < v < {n}")
+        values = [gains[e] for e in keys]  # type: ignore[index]
+        self._fill(n, u, v, *_encode(values), MappingProxyType(dict(zip(keys, values))))
+
+    def _fill(self, n: int, u: np.ndarray, v: np.ndarray, k: np.ndarray, z: np.ndarray,
+              L: int, gains: Optional[Mapping] = None) -> None:
+        for a in (u, v, k, z):
+            a.setflags(write=False)
+        for name, value in zip(self.__slots__, (n, u, v, k, z, L, gains)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GainGraph is immutable; cannot set {name}")
+
+    def __reduce__(self):
+        return _graph, (self.n, self.u, self.v, self.k, self.z, self.L)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GainGraph):
+            return NotImplemented
+        return self.n == other.n and self.gains == other.gains
+
+    __hash__ = None     # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"GainGraph(n={self.n}, gains={dict(self.gains)!r})"
+
+    @property
+    def gains(self) -> Mapping[tuple[int, int], Gain]:
+        if self._gains is None:
+            keys = zip(self.u.tolist(), self.v.tolist())
+            object.__setattr__(self, "_gains", MappingProxyType(
+                dict(zip(keys, _decode(self.k, self.z, self.L)))))
+        return self._gains
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.gains
@@ -165,38 +317,67 @@ class GainGraph:
         return self.gains[(v, u)].conj()
 
     def edges(self) -> Iterator[tuple[int, int, Gain]]:
-        for (u, v), g in sorted(self.gains.items()):
-            yield u, v, g
+        return zip(self.u.tolist(), self.v.tolist(), self.gains.values())
 
     def neighbors(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for (u, v) in self.gains:
+        # in sorted edge order each list fills in increasing order
+        for u, v in zip(self.u.tolist(), self.v.tolist()):
             adj[u].append(v)
             adj[v].append(u)
-        for row in adj:
-            row.sort()
         return adj
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for (u, v) in self.gains:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(np.concatenate([self.u, self.v]), minlength=self.n).tolist()
 
     def support(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(e) for e in self.gains)
+        return frozenset(map(frozenset, zip(self.u.tolist(), self.v.tolist())))
 
     def matrix(self) -> np.ndarray:
         A = np.zeros((self.n, self.n), dtype=complex)
-        for (u, v), g in self.gains.items():
-            A[u, v] = g.value
-            A[v, u] = g.value.conjugate()
+        A[self.u, self.v] = self.z
+        A[self.v, self.u] = self.z.conj()
         return A
 
     @property
     def is_exact(self) -> bool:
-        return all(g.is_exact for g in self.gains.values())
+        return not (self.k < 0).any()
+
+
+def _graph(n: int, u: np.ndarray, v: np.ndarray, k: np.ndarray, z: np.ndarray,
+           L: int) -> GainGraph:
+    """The graph of trusted arrays: edges u < v in sorted order, no repeats."""
+    g = object.__new__(GainGraph)
+    g._fill(n, u, v, k, z, L)
+    return g
+
+
+def _assemble(n: int, u: np.ndarray, v: np.ndarray, k: np.ndarray, z: np.ndarray,
+              L: int) -> GainGraph:
+    """The graph of the oriented edges u -> v with gains (k, z), checked as build checks."""
+    bad = np.flatnonzero(~((0 <= u) & (u < n) & (0 <= v) & (v < n)) | (u == v))
+    if bad.size:
+        a, b = u[bad[0]].item(), v[bad[0]].item()
+        if not (0 <= a < n and 0 <= b < n):
+            raise IndexOutOfRange(f"edge ({a},{b}) outside 0..{n - 1}")
+        raise SelfLoop(f"self-loop at vertex {a}")
+    g = _sorted(n, u, v, k, z, L)
+    twice = np.flatnonzero((g.u[1:] == g.u[:-1]) & (g.v[1:] == g.v[:-1]))
+    if twice.size:
+        raise DuplicateEdge(f"edge {(g.u[twice[0]].item(), g.v[twice[0]].item())} given twice")
+    return g
+
+
+def _sorted(n: int, u: np.ndarray, v: np.ndarray, k: np.ndarray, z: np.ndarray,
+            L: int) -> GainGraph:
+    """The graph of the oriented edges u -> v, u != v, with gains (k, z)."""
+    flip = u > v
+    if np.count_nonzero(flip):
+        k, z = k.copy(), z.copy()
+        k[flip], z[flip] = _conj(k[flip], z[flip], L)
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    order = np.argsort(u * n + v)
+    return _graph(n, u[order], v[order], k[order], z[order], L)
 
 
 def build(n: int, edges: list[tuple[int, int, Gain]]) -> GainGraph:
@@ -205,42 +386,38 @@ def build(n: int, edges: list[tuple[int, int, Gain]]) -> GainGraph:
     Each item (u, v, g) declares gain g on the edge u -> v; the reverse
     direction gets conj(g).  Vertices are 0-indexed.
     """
-    gains: dict[tuple[int, int], Gain] = {}
-    for u, v, g in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
-        if not isinstance(g, Gain):
-            g = Gain.numeric(g)
-        key = (u, v) if u < v else (v, u)
-        if key in gains:
-            raise DuplicateEdge(f"edge {key} given twice")
-        gains[key] = g if u < v else g.conj()
-    return GainGraph(n, gains)
+    edges = list(edges)
+    pairs = np.array([(a, b) for a, b, _ in edges], dtype=np.intp).reshape(-1, 2)
+    gains = [x if isinstance(x, Gain) else Gain.numeric(x) for _, _, x in edges]
+    return _assemble(n, pairs[:, 0].copy(), pairs[:, 1].copy(), *_encode(gains))
 
 
 def from_matrix(A: np.ndarray) -> GainGraph:
     """Read a gain graph off a Hermitian matrix with unit-or-zero entries.
 
-    The matrix must be Hermitian to 1e-9.  Entries of modulus at most
-    1e-8 are non-edges; the rest must be within 1e-6 of the unit circle
-    and are normalized onto it.
+    The matrix must be square and Hermitian to 1e-9; 0 x 0 is the empty
+    graph.  Entries of modulus at most 1e-8 are non-edges; the rest must
+    be within 1e-6 of the unit circle and are normalized onto it.
     """
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise LengthMismatch(f"need a square matrix, got shape {A.shape}")
     n = A.shape[0]
-    if not np.max(np.abs(A - A.conj().T)) <= 1e-9:
+    if not np.max(np.abs(A - A.conj().T), initial=0.0) <= 1e-9:
         raise NonUnitGain("matrix is not Hermitian")
-    gains: dict[tuple[int, int], Gain] = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            z = complex(A[u, v])
-            r = abs(z)
-            if r <= 1e-8:
-                continue
-            if not abs(r - 1.0) <= 1e-6:
-                raise NonUnitGain(f"entry ({u},{v}) has modulus {r}")
-            gains[(u, v)] = Gain.numeric(z / r)
-    return GainGraph(n, gains)
+    u, v = np.triu_indices(n, 1)
+    w = A[u, v].astype(complex)
+    r = np.hypot(w.real, w.imag)            # the bits of Python's abs
+    edge = ~(r <= 1e-8)
+    bad = np.flatnonzero(edge & ~(np.abs(r - 1.0) <= 1e-6))
+    if bad.size:
+        raise NonUnitGain(f"entry ({u[bad[0]]},{v[bad[0]]}) has modulus {r[bad[0]]}")
+    w, r = w[edge], r[edge]
+    # Python's complex-by-real division, signed zeros included
+    z = np.empty(len(w), dtype=complex)
+    z.real = (w.real + w.imag * 0.0) / r
+    z.imag = (w.imag - w.real * 0.0) / r
+    return _graph(n, u[edge], v[edge], np.full(len(z), -1), z, 1)
 
 
 # -- elementary operations ---------------------------------------------------
@@ -261,30 +438,53 @@ def cycle_gain(g: GainGraph, cycle: list[int]) -> complex:
     return out.value
 
 
+def _positions(g: GainGraph, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Where the edge {a, b} of each pair sits in g's arrays."""
+    return np.searchsorted(g.u * g.n + g.v, [min(e) * g.n + max(e) for e in pairs])
+
+
+def _gains_along(g: GainGraph, pairs: list[tuple[int, int]], at: np.ndarray) -> list[Gain]:
+    """g.gain(a, b) for each pair, given the positions of their edges; decodes only those."""
+    return [x if a < b else x.conj()
+            for x, (a, b) in zip(_decode(g.k[at], g.z[at], g.L), pairs)]
+
+
+def _switched(g: GainGraph, diagonal: list[Gain]) -> tuple[np.ndarray, np.ndarray, int]:
+    """(k, z, L) of conj(s_u) * gain(u, v) * s_v, multiplied in that order."""
+    ks, zs, Ls = _encode(diagonal)
+    L = math.lcm(g.L, Ls)
+    ks, k = _rescale(ks, Ls, L), _rescale(g.k, g.L, L)
+    numeric, numeric_edges = np.count_nonzero(ks < 0), np.count_nonzero(k < 0)
+    if not numeric and not numeric_edges:
+        # every factor exact: the product is exact, its exponent the sum
+        k = (k - ks[g.u] + ks[g.v]) % L
+        return k, _roots(k, L), L
+    cks, czs = _conj(ks, zs, L)
+    if numeric == len(ks) or numeric_edges == len(k):
+        # a numeric factor in every product: every product is numeric
+        return np.full(len(k), -1), _cmul(_cmul(czs[g.u], g.z), zs[g.v]), L
+    k, z = _mul(cks[g.u], czs[g.u], k, g.z, L)
+    return (*_mul(k, z, ks[g.v], zs[g.v], L), L)
+
+
 def switch(g: GainGraph, diagonal: list[Gain]) -> GainGraph:
     """Diagonal switching: gain'(u,v) = conj(s_u) * gain(u,v) * s_v."""
     if len(diagonal) != g.n:
         raise LengthMismatch(f"need {g.n} diagonal entries, got {len(diagonal)}")
-    new = {}
-    for (u, v), gn in g.gains.items():
-        new[(u, v)] = diagonal[u].conj() * gn * diagonal[v]
-    return GainGraph(g.n, new)
+    return _graph(g.n, g.u, g.v, *_switched(g, diagonal))
 
 
 def converse(g: GainGraph) -> GainGraph:
     """Replace every gain by its conjugate (reverse all orientations)."""
-    return GainGraph(g.n, {e: gn.conj() for e, gn in g.gains.items()})
+    return _graph(g.n, g.u, g.v, *_conj(g.k, g.z, g.L), g.L)
 
 
 def relabel(g: GainGraph, permutation: list[int]) -> GainGraph:
     """Rename vertex u to permutation[u]."""
     if sorted(permutation) != list(range(g.n)):
         raise LengthMismatch("not a permutation of the vertex set")
-    new = {}
-    for (u, v), gn in g.gains.items():
-        a, b = permutation[u], permutation[v]
-        new[(a, b) if a < b else (b, a)] = gn if a < b else gn.conj()
-    return GainGraph(g.n, new)
+    p = np.array(permutation, dtype=np.intp)
+    return _sorted(g.n, p[g.u], p[g.v], g.k, g.z, g.L)
 
 
 def is_connected(g: GainGraph) -> bool:
@@ -358,13 +558,15 @@ def normalize_spanning_tree(g: GainGraph) -> tuple[GainGraph, SwitchingWitness]:
     their normalized forms coincide.
     """
     tree = _bfs_tree(g)
+    at = _positions(g, tree)
     s = [ONE] * g.n
-    for u, v in tree:
-        s[v] = s[u] * g.gain(u, v).conj()
-    normalized = switch(g, s)
-    for u, v in tree:
-        normalized.gains[(min(u, v), max(u, v))] = ONE
-    return normalized, SwitchingWitness(list(range(g.n)), s, False)
+    if np.count_nonzero(g.k[at]):      # else every tree gain is the exact 1, and so is s
+        for (u, v), gn in zip(tree, _gains_along(g, tree, at)):
+            s[v] = s[u] * gn.conj()
+    k, z, L = _switched(g, s)
+    # the switch leaves 1 on the tree up to rounding; write the exact 1
+    k[at], z[at] = 0, ONE.value
+    return _graph(g.n, g.u, g.v, k, z, L), SwitchingWitness(list(range(g.n)), s, False)
 
 
 def _diagonal_entry(dw: Gain, hwu: Gain, gwv: Gain) -> Gain:
@@ -372,17 +574,28 @@ def _diagonal_entry(dw: Gain, hwu: Gain, gwv: Gain) -> Gain:
     return dw * hwu.conj() * gwv
 
 
+def _agree(k: np.ndarray, z: np.ndarray, L: int, h: GainGraph, tol: float) -> bool:
+    """Whether every gain (k, z) is Gain.close to h's on the same edge."""
+    common = math.lcm(L, h.L)
+    k, kh = _rescale(k, L, common), _rescale(h.k, h.L, common)
+    d = z - h.z
+    return bool(np.where((k >= 0) & (kh >= 0), k == kh, np.hypot(d.real, d.imag) <= tol).all())
+
+
 def switching_equivalent(g1: GainGraph, g2: GainGraph) -> Optional[SwitchingWitness]:
     """Witness that a diagonal switch alone maps g1 onto g2, if one exists.
 
     Numeric gains match when they lie within NUMERIC_EQ_TOL of each other.
     """
-    if g1.n != g2.n or g1.support() != g2.support():
+    if g1.n != g2.n or not (np.array_equal(g1.u, g2.u) and np.array_equal(g1.v, g2.v)):
         raise SupportMismatch("graphs must share their underlying support")
+    tree = _bfs_tree(g1)
+    at = _positions(g1, tree)
     d = [ONE] * g1.n
-    for u, v in _bfs_tree(g1):
-        d[v] = _diagonal_entry(d[u], g1.gain(u, v), g2.gain(u, v))
-    if not all(gn.close(g2.gains[e]) for e, gn in switch(g1, d).gains.items()):
+    for (u, v), h, x in zip(tree, _gains_along(g1, tree, at), _gains_along(g2, tree, at)):
+        d[v] = _diagonal_entry(d[u], h, x)
+    k, z, L = _switched(g1, d)
+    if not _agree(k, z, L, g2, NUMERIC_EQ_TOL):
         return None
     return SwitchingWitness(list(range(g1.n)), d, False)
 
@@ -510,7 +723,8 @@ class StructureStats:
 def structure_stats(g: GainGraph) -> StructureStats:
     adj = [set(a) for a in g.neighbors()]
     deg = g.degrees()
-    tri = {e: len(adj[e[0]] & adj[e[1]]) for e in g.gains}
+    edges = list(zip(g.u.tolist(), g.v.tolist()))
+    tri = {(u, v): len(adj[u] & adj[v]) for u, v in edges}
     common = {}
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -520,7 +734,7 @@ def structure_stats(g: GainGraph) -> StructureStats:
     color = [0] * g.n
     for u, v in _bfs_forest(g):
         color[v] = color[u] ^ 1
-    bipartite = all(color[u] != color[v] for u, v in g.gains)
+    bipartite = all(color[u] != color[v] for u, v in edges)
     return StructureStats(
         degrees=deg,
         is_regular=len(set(deg)) <= 1,
@@ -541,7 +755,7 @@ def max_coclique(g: GainGraph) -> tuple[int, list[int]]:
     expansions.
     """
     nbr = [0] * g.n
-    for (u, v) in g.gains:
+    for u, v in zip(g.u.tolist(), g.v.tolist()):
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
     size, members = _coclique_search(nbr, (1 << g.n) - 1, 0, 0, (0, 0),

@@ -31,7 +31,7 @@ from .errors import (
     PartNotTight,
     UnknownName,
 )
-from .gains import ONE, SEARCH_BUDGET, Gain, GainGraph, _Budget, build, max_coclique
+from .gains import ONE, SEARCH_BUDGET, Gain, GainGraph, _Budget, _check_unit, _graph, max_coclique
 from .spectral import TwoEvCertificate, _cluster, certify_two_ev
 
 _PHI = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
@@ -160,10 +160,15 @@ def lines_to_gain(system: LineSystem, alpha: float) -> GainGraph:
     """Scaled Gram off-diagonal as gains: edge where |inner| = alpha, none at 0."""
     G = system.gram()
     us, vs = np.nonzero(np.triu(_angle_check(G, alpha) > 1e-8, 1))
-    # numpy scalars edge by edge: vectorised division rounds some gains differently
-    edges = [(u, v, Gain.numeric(G[u, v] / abs(G[u, v]), tol=1e-9))
-             for u, v in zip(us.tolist(), vs.tolist())]
-    return build(system.count, edges)
+    w = G[us, vs]
+    # the bits of numpy's scalar w / abs(w): abs is hypot, and the division
+    # multiplies by 1 / |w|; numpy's array division rounds some gains differently
+    scale = 1.0 / np.hypot(w.real, w.imag)
+    z = np.empty(len(w), dtype=complex)
+    z.real = (w.real + w.imag * 0.0) * scale
+    z.imag = (w.imag - w.real * 0.0) * scale
+    _check_unit(z, 1e-9)
+    return _graph(system.count, us, vs, np.full(len(z), -1), z, 1)
 
 
 # -- order bounds ----------------------------------------------------------------
@@ -200,19 +205,17 @@ def bounds_check(m: int, s: int, has_zero: bool,
     report.n = g.n
     cert = certify_two_ev(g)
     if cert is not None:
-        system = gain_to_lines(g, cert)
-        gram = np.abs(system.gram())
-        seen: list[int] = []
-        for j in range(system.count):
-            if (gram[j, seen] < 1 - 1e-8).all():    # NaN is not distinct
-                seen.append(j)
-        report.distinct_lines = len(seen)
-        report.absolute_ok = len(seen) <= bound
+        # |Gram| of the lines gain_to_lines would factor out of I - A/theta_min
+        theta_min = -cert.theta1 if cert.negated else cert.theta2
+        gram = np.abs(np.eye(g.n) - g.matrix() / theta_min)
+        # a line is new unless an earlier one is parallel to it; NaN is not distinct
+        distinct = int((~np.tril(~(gram < 1 - 1e-8), -1).any(axis=1)).sum())
+        report.distinct_lines = distinct
+        report.absolute_ok = distinct <= bound
         target = -cert.k * cert.m / (g.n - cert.m)
         # the 0/1 support matrix: every gain has unit modulus
         U = np.zeros((g.n, g.n))
-        u, v = np.array(list(g.gains), dtype=int).reshape(-1, 2).T
-        U[u, v] = U[v, u] = 1.0
+        U[g.u, g.v] = U[g.v, g.u] = 1.0
         evs = np.linalg.eigvalsh(U)
         m_prime = int(np.sum(np.abs(evs - target) <= 1e-6))
         report.m_prime = m_prime
@@ -530,7 +533,7 @@ def dismantle(system: LineSystem, partition: list[list[int]],
         columns.extend(part)
         g = lines_to_gain(system.take(columns), alpha)
         union_graphs.append(g)
-        union_certs.append(certify_two_ev(g) if g.gains else None)
+        union_certs.append(certify_two_ev(g) if g.u.size else None)
     return DismantleResult(reports, union_graphs, union_certs)
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import LengthMismatch
-from .gains import Gain, GainGraph, _bfs_tree, build, normalize_spanning_tree
+from .gains import GainGraph, _bfs_tree, _check_unit, _graph, _roots, normalize_spanning_tree
 from .spectral import TwoEvCertificate, certify_two_ev
 
 Objective = Callable[[np.ndarray], float]
@@ -138,16 +138,21 @@ def _edge_layout(underlying: GainGraph):
     """Split edges into a pinned BFS tree and the free remainder."""
     tree = set(_bfs_tree(underlying))           # raises Disconnected
     tree = {(min(u, v), max(u, v)) for u, v in tree}
-    all_edges = sorted(underlying.gains.keys())
-    free = [e for e in all_edges if e not in tree]
+    free = [e for e in zip(underlying.u.tolist(), underlying.v.tolist()) if e not in tree]
     return sorted(tree), free
 
 
 def _graph_from_state(n: int, tree: list, free: list, angles: np.ndarray) -> GainGraph:
-    edges = [(u, v, Gain.exact(0, 1)) for u, v in tree]
-    edges += [(u, v, Gain.numeric(complex(np.exp(1j * a)), tol=1e-6))
-              for (u, v), a in zip(free, angles)]
-    return build(n, edges)
+    """Exact gain 1 on the tree edges, exp(i * angle) on the free ones."""
+    z = np.ones(len(tree) + len(free), dtype=complex)
+    z[len(tree):] = np.exp(1j * np.asarray(angles, dtype=float))
+    if not np.isfinite(z).all():     # a finite angle gives a unit gain
+        _check_unit(z, 1e-6)
+    k = np.zeros(len(z), dtype=np.int64)
+    k[len(tree):] = -1
+    u, v = np.array(tree + free, dtype=np.intp).reshape(-1, 2).T
+    order = np.argsort(u * n + v)
+    return _graph(n, u[order], v[order], k[order], z[order], 1)
 
 
 def _seeded_start(m: int, seed: int):
@@ -270,7 +275,7 @@ def refine_gains(g: GainGraph) -> GainGraph:
         return g
     fu, fv = np.array(free).T
     A = g.matrix()
-    tol = (1e-13 * len(g.gains)) ** 2      # ||R|| <= 5e-14 ||A||^2, as ||A||^2 = 2 |E|
+    tol = (1e-13 * g.u.size) ** 2          # ||R|| <= 5e-14 ||A||^2, as ||A||^2 = 2 |E|
 
     def at(theta):
         z = np.exp(1j * theta)
@@ -302,16 +307,17 @@ def refine_gains(g: GainGraph) -> GainGraph:
 def snap_gains(g: GainGraph, Q: int = 24) -> Optional[tuple[GainGraph, TwoEvCertificate]]:
     """Replace each gain by the nearest root of unity of order at most Q.
 
-    Gains further than 1e-3 radians from every such root abort the snap.
-    Returns the snapped graph with its certificate at tol 1e-9, or None
-    if it does not re-certify.
+    Exact gains of order at most Q stay.  Gains further than 1e-3 radians
+    from every such root abort the snap.  Returns the snapped graph with
+    its certificate at tol 1e-9, or None if it does not re-certify.
     """
-    edges = []
-    for (u, v), gn in sorted(g.gains.items()):
-        if gn.is_exact and gn.angle.denominator <= Q:
-            edges.append((u, v, gn))
+    angles = []         # (p, q) per edge
+    for j, z in zip(g.k.tolist(), g.z.tolist()):
+        d = math.gcd(j, g.L)
+        if j >= 0 and g.L // d <= Q:
+            angles.append((j // d, g.L // d))
             continue
-        turns = (math.atan2(gn.value.imag, gn.value.real) / (2 * math.pi)) % 1.0
+        turns = (math.atan2(z.imag, z.real) / (2 * math.pi)) % 1.0
         best = None
         for q in range(1, Q + 1):
             p = round(turns * q)
@@ -319,11 +325,12 @@ def snap_gains(g: GainGraph, Q: int = 24) -> Optional[tuple[GainGraph, TwoEvCert
             if best is None or dist < best[0]:
                 best = (dist, p % q, q)
         dist, p, q = best
-        if dist * 2 * math.pi <= 1e-3:
-            edges.append((u, v, Gain.exact(p, q)))
-        else:
+        if not dist * 2 * math.pi <= 1e-3:
             return None
-    snapped = build(g.n, edges)
+        angles.append((p, q))
+    L = math.lcm(*(q for _, q in angles))
+    k = np.array([p * (L // q) for p, q in angles], dtype=np.int64)
+    snapped = _graph(g.n, g.u, g.v, k, _roots(k, L), L)
     cert = certify_two_ev(snapped, tol=1e-9)
     return None if cert is None else (snapped, cert)
 

@@ -94,7 +94,7 @@ def certify_two_ev(g: GainGraph, tol: float = 1e-9) -> Optional[TwoEvCertificate
     """
     if not 0 <= tol < math.inf:     # NaN fails it
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    if g.n == 0 or not g.gains:
+    if g.n == 0 or not g.u.size:
         raise EmptyGraph("certification needs at least one edge")
     if not is_connected(g):
         raise Disconnected("certification requires a connected graph")
@@ -161,30 +161,16 @@ def char_poly_elementary(g: GainGraph) -> list[float]:
         raise TooLarge(f"n = {n} exceeds the enumeration limit 12")
     adj = [0] * n
     gain_val: dict[tuple[int, int], complex] = {}
-    for (u, v), gn in g.gains.items():
+    for u, v, z in zip(g.u.tolist(), g.v.tolist(), g.z.tolist()):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        gain_val[(u, v)] = gn.value
-        gain_val[(v, u)] = gn.value.conjugate()
+        gain_val[(u, v)] = z
+        gain_val[(v, u)] = z.conjugate()
 
     # covers[mask]: summed weight over elementary subgraphs covering exactly
     # mask.  Each term reads a strict submask, so increasing order has it ready.
     covers = [1.0] + [0.0] * ((1 << n) - 1)
     coeffs = [1.0] + [0.0] * n
-
-    def paths(node: int, used: int, prod: complex, first: int) -> float:
-        """Cycles through v inside mask that extend the path v -> ... -> node."""
-        acc = 0.0
-        for u in _bits(adj[node] & mask & ~used):
-            p2 = prod * gain_val[(node, u)]
-            used2 = used | (1 << u)
-            # close the cycle back at v; count each cycle in one
-            # orientation only (first step < last step)
-            if (adj[u] >> v) & 1 and used2.bit_count() >= 3 and first < u:
-                acc += -2.0 * (p2 * gain_val[(u, v)]).real * covers[mask & ~used2]
-            acc += paths(u, used2, p2, first)
-        return acc
-
     for mask in range(1, 1 << n):
         total = 0.0
         v = (mask & -mask).bit_length() - 1
@@ -192,13 +178,29 @@ def char_poly_elementary(g: GainGraph) -> list[float]:
         for u in _bits(adj[v] & rest):
             total -= covers[rest & ~(1 << u)]
         for u1 in _bits(adj[v] & rest):
-            total += paths(u1, (1 << v) | (1 << u1), gain_val[(v, u1)], u1)
+            total += _cycles(adj, gain_val, covers, mask, v, u1, (1 << v) | (1 << u1),
+                             gain_val[(v, u1)], u1)
         covers[mask] = total
         if total:
             coeffs[mask.bit_count()] += total
-    # paths refers to itself; without this its state outlives the call until gc runs
-    del paths
     return coeffs
+
+
+def _cycles(adj: list[int], gain_val: dict[tuple[int, int], complex], covers: list[float],
+            mask: int, v: int, node: int, used: int, prod: complex, first: int) -> float:
+    """Weight of the cycles through v inside mask that extend the path
+    v -> first -> ... -> node over the vertices in used, each times the
+    covers of the rest of mask."""
+    acc = 0.0
+    for u in _bits(adj[node] & mask & ~used):
+        p2 = prod * gain_val[(node, u)]
+        used2 = used | (1 << u)
+        # close the cycle back at v; count each cycle in one
+        # orientation only (first step < last step)
+        if (adj[u] >> v) & 1 and used2.bit_count() >= 3 and first < u:
+            acc += -2.0 * (p2 * gain_val[(u, v)]).real * covers[mask & ~used2]
+        acc += _cycles(adj, gain_val, covers, mask, v, u, used2, p2, first)
+    return acc
 
 
 def char_poly_from_eigenvalues(evs: list[float]) -> list[float]:

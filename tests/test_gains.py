@@ -19,6 +19,7 @@ from gainforge.errors import (
     DuplicateEdge,
     Disconnected,
     IndexOutOfRange,
+    LengthMismatch,
     NonUnitGain,
     SelfLoop,
     Timeout,
@@ -27,6 +28,7 @@ from gainforge.gains import (
     Gain,
     GainGraph,
     SwitchingWitness,
+    _bfs_tree,
     apply_witness,
     build,
     converse,
@@ -198,6 +200,38 @@ def test_from_matrix_rejects_nan_entries():
             from_matrix(A)
 
 
+def test_from_matrix_rejects_a_matrix_that_is_not_square():
+    for A in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(LengthMismatch):
+            from_matrix(A)
+
+
+def test_from_matrix_reads_an_empty_matrix_as_the_empty_graph():
+    g = from_matrix(np.zeros((0, 0), dtype=complex))
+    assert g.n == 0 and g.gains == {} and g.is_exact
+
+
+def test_a_gain_graph_cannot_be_changed():
+    g = c4(I_G)
+    with pytest.raises(TypeError):
+        g.gains[(0, 1)] = ONE
+    with pytest.raises(ValueError):
+        g.z[0] = 1.0
+    with pytest.raises(AttributeError):
+        g.n = 5
+    # normalizing writes the exact 1 on the tree before the graph exists
+    norm, _ = normalize_spanning_tree(switch(g, [Gain.exact(k, 5) for k in range(4)]))
+    assert [norm.gain(u, v) for u, v in _bfs_tree(norm)] == [ONE] * 3
+    assert g.gains == c4(I_G).gains
+
+
+def test_a_gain_graph_keeps_its_gains_in_sorted_key_order():
+    g = build(4, [(2, 3, ONE), (1, 0, I_G), (3, 0, ONE)])
+    assert list(g.gains) == [(0, 1), (0, 3), (2, 3)]
+    assert [(u, v) for u, v, _ in g.edges()] == list(g.gains)
+    assert GainGraph(4, dict(reversed(g.gains.items()))) == g
+
+
 def test_cycle_gain_around_square():
     g = c4(I_G)
     z = cycle_gain(g, [0, 1, 2, 3])
@@ -241,6 +275,111 @@ def test_normalize_requires_connected():
     g = build(4, [(0, 1, ONE), (2, 3, ONE)])
     with pytest.raises(Disconnected):
         normalize_spanning_tree(g)
+
+
+# -- the per-edge reference --------------------------------------------------
+#
+# Per-edge loops over {(u, v): Gain} dicts, in Gain arithmetic: the
+# reference for the edge-array operations.  Every output must match them
+# exactly: the same keys, the same exact gains, numeric gains with the
+# same bits.
+
+def _ref_matrix(n, gains):
+    A = np.zeros((n, n), dtype=complex)
+    for (u, v), g in gains.items():
+        A[u, v] = g.value
+        A[v, u] = g.value.conjugate()
+    return A
+
+
+def _ref_switch(gains, diagonal):
+    return {(u, v): diagonal[u].conj() * gn * diagonal[v] for (u, v), gn in gains.items()}
+
+
+def _ref_converse(gains):
+    return {e: gn.conj() for e, gn in gains.items()}
+
+
+def _ref_relabel(gains, permutation):
+    new = {}
+    for (u, v), gn in gains.items():
+        a, b = permutation[u], permutation[v]
+        new[(a, b) if a < b else (b, a)] = gn if a < b else gn.conj()
+    return new
+
+
+def _ref_normalize(g):
+    tree = _bfs_tree(g)
+    s = [ONE] * g.n
+    for u, v in tree:
+        s[v] = s[u] * g.gain(u, v).conj()
+    new = _ref_switch(g.gains, s)
+    for u, v in tree:
+        new[(min(u, v), max(u, v))] = ONE
+    return new, s
+
+
+def _assert_same(g, ref):
+    assert list(g.gains) == sorted(ref)
+    for e, x in ref.items():
+        y = g.gains[e]
+        # repr tells exact from numeric and shows every bit, signed zeros too
+        assert y.is_exact == x.is_exact and repr(y) == repr(x), (e, y, x)
+    assert g.matrix().tobytes() == _ref_matrix(g.n, ref).tobytes()
+
+
+_exact_unit = st.builds(Gain.exact, st.integers(0, 47), st.integers(1, 24))
+_numeric_unit = st.one_of(
+    st.floats(0.0, 1.0).map(lambda t: Gain.numeric(complex(math.cos(2 * math.pi * t),
+                                                           math.sin(2 * math.pi * t)))),
+    st.sampled_from([Gain.numeric(z) for z in (1, -1, 1j, -1j, complex(-0.0, 1.0))]),
+)
+_units = {"exact": _exact_unit, "numeric": _numeric_unit,
+          "mixed": st.one_of(_exact_unit, _numeric_unit)}
+
+
+@st.composite
+def _gain_graphs(draw, kind):
+    """A connected graph on at most 10 vertices with gains of the given kind."""
+    n = draw(st.integers(1, 10))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+    edges = sorted(tree) + [e for e in others if draw(st.booleans())]
+    oriented = [(u, v) if draw(st.booleans()) else (v, u) for u, v in edges]
+    return build(n, [(u, v, draw(_units[kind])) for u, v in oriented])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_units)), st.sampled_from(sorted(_units)))
+def test_edge_array_operations_match_the_per_edge_reference(data, kind, diagonal_kind):
+    g = data.draw(_gain_graphs(kind))
+    diagonal = [data.draw(_units[diagonal_kind]) for _ in range(g.n)]
+    permutation = data.draw(st.permutations(range(g.n)))
+    conjugated = data.draw(st.booleans())
+    assert g.is_exact == (kind == "exact" or all(x.is_exact for x in g.gains.values()))
+    assert g.matrix().tobytes() == _ref_matrix(g.n, g.gains).tobytes()
+    _assert_same(switch(g, diagonal), _ref_switch(g.gains, diagonal))
+    _assert_same(converse(g), _ref_converse(g.gains))
+    _assert_same(relabel(g, permutation), _ref_relabel(g.gains, permutation))
+    norm, witness = normalize_spanning_tree(g)
+    ref, s = _ref_normalize(g)
+    _assert_same(norm, ref)
+    assert [repr(x) for x in witness.diagonal] == [repr(x) for x in s]
+    w = SwitchingWitness(permutation, diagonal, conjugated)
+    ref = _ref_relabel(_ref_converse(g.gains) if conjugated else g.gains, permutation)
+    _assert_same(apply_witness(g, w), _ref_switch(ref, diagonal))
+    if g.is_exact and all(x.is_exact for x in diagonal):
+        assert apply_witness(g, w).is_exact
+
+
+def test_exact_gains_past_int64_denominators_stay_exact():
+    # the common denominator passes 2**62: exponents become Python ints
+    g = build(3, [(0, 1, Gain.exact(1, 2 ** 70)), (1, 2, Gain.exact(1, 3)),
+                  (2, 0, Gain.exact(1, 2 ** 65 + 1))])
+    d = [Gain.exact(1, 7), Gain.exact(1, 2 ** 61 - 1), ONE]
+    h = switch(converse(relabel(g, [2, 0, 1])), d)
+    _assert_same(h, _ref_switch(_ref_converse(_ref_relabel(g.gains, [2, 0, 1])), d))
+    assert h.is_exact and normalize_spanning_tree(h)[0].is_exact
 
 
 def test_switching_equivalent_finds_diagonal():
