@@ -101,6 +101,7 @@ def _weighing_weight(entries: list[list[Entry]]) -> int:
 
 
 def make_weighing(entries: list[list[Entry]]) -> WeighingMatrix:
+    """The weighing matrix of a square array of gains and zeros (None), validated."""
     return WeighingMatrix(len(entries), entries, _weighing_weight(entries))
 
 
@@ -596,6 +597,7 @@ def catalog() -> tuple[CatalogEntry, ...]:
 
 
 def catalog_entry(name: str) -> CatalogEntry:
+    """The catalog entry with this name; UnknownName if there is none."""
     for e in catalog():
         if e.name == name:
             return e

@@ -50,6 +50,7 @@ def format_gain(gain: Gain) -> str:
 
 
 def serialize_gaingraph(g: GainGraph) -> str:
+    """The ``gaingraph v1`` text of g: a header, ``n N``, then one ``e u v`` line per edge u < v."""
     out = ["gaingraph v1", f"n {g.n}"]
     # exponent k mod L is the reduced angle (k/d) / (L/d) for d = gcd(k, L)
     d = np.gcd(g.k, g.L)
@@ -60,6 +61,7 @@ def serialize_gaingraph(g: GainGraph) -> str:
 
 
 def parse_gaingraph(text: str) -> GainGraph:
+    """The gain graph of a ``gaingraph v1`` text; ParseError names the offending line."""
     rows = _rows(text)
     if not rows or rows[0][1] != ["gaingraph", "v1"]:
         raise ParseError(rows[0][0] if rows else 1, "expected header 'gaingraph v1'")
@@ -122,6 +124,7 @@ def parse_gaingraph(text: str) -> GainGraph:
 # -- line systems ----------------------------------------------------------------
 
 def serialize_lines(system: LineSystem) -> str:
+    """The ``lines v1`` text of a line system: dim, count, then one ``v j`` line per vector."""
     out = ["lines v1", f"dim {system.dim}", f"count {system.count}"]
     for j in range(system.count):
         parts = [f"v {j}"]
@@ -132,6 +135,7 @@ def serialize_lines(system: LineSystem) -> str:
 
 
 def parse_lines(text: str) -> LineSystem:
+    """The line system of a ``lines v1`` text; ParseError names the offending line."""
     rows = _rows(text)
     if not rows or rows[0][1] != ["lines", "v1"]:
         raise ParseError(rows[0][0] if rows else 1, "expected header 'lines v1'")

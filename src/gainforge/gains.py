@@ -28,10 +28,12 @@ built on first use.
 
 Switching diagonals follow one rule: with the diagonal 1 at a first
 vertex, each edge out of a vertex whose entry is known fixes the entry
-at its other end.  ``_diagonal_entry`` states it for the equivalence and
-isomorphism searches, and the latter prunes as soon as two edges
-disagree.  ``normalize_spanning_tree`` writes it out for target gain 1,
-which saves a ``Gain`` product per tree edge.
+at its other end.  ``normalize_spanning_tree`` applies it for target
+gain 1 on the canonical BFS tree, and ``switching_equivalent`` compares
+the two normal forms: they coincide exactly when a switch maps one
+graph onto the other, and the witness is s1 * conj(s2) of the two
+normalizing diagonals.  ``_diagonal_entry`` states the rule for the
+isomorphism search, which prunes as soon as two edges disagree.
 """
 
 from __future__ import annotations
@@ -163,6 +165,7 @@ I_GAIN = Gain.exact(1, 4)
 
 def _int_array(values, L: int) -> np.ndarray:
     """Exponents as int64, or as Python ints when L is too large for int64 sums."""
+    # the object path is the only exact one past L = 2**62, and a test pins it
     return np.asarray(values, dtype=np.int64 if L < 2 ** 62 else object)
 
 
@@ -175,8 +178,6 @@ def _exponents(angles: list[Optional[Fraction]]) -> tuple[np.ndarray, int]:
 
 def _rescale(k: np.ndarray, L: int, to: int) -> np.ndarray:
     """Exponents mod L as exponents mod `to`, a multiple of L; -1 stays -1."""
-    if to == L:
-        return k
     k = _int_array(k, to)
     return np.where(k >= 0, k * (to // L), -1)
 
@@ -195,16 +196,13 @@ def _roots(k: np.ndarray, L: int) -> np.ndarray:
 
 def _exact_values(k: np.ndarray, z: np.ndarray, L: int, exact: np.ndarray) -> np.ndarray:
     """z with its exact entries set from their exponents k mod L."""
-    if np.count_nonzero(exact):
-        z[exact] = _roots(k[exact], L)
+    z[exact] = _roots(k[exact], L)
     return z
 
 
 def _conj(k: np.ndarray, z: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Gain.conj, edge by edge."""
     exact = k >= 0
-    if not np.count_nonzero(exact):
-        return k, z.conj()
     k = np.where(exact, -k % L, -1)
     return k, _exact_values(k, z.conj(), L, exact)
 
@@ -213,10 +211,7 @@ def _mul(ka: np.ndarray, za: np.ndarray, kb: np.ndarray, zb: np.ndarray,
          L: int) -> tuple[np.ndarray, np.ndarray]:
     """Gain.__mul__, edge by edge: exact where both factors are."""
     exact = (ka >= 0) & (kb >= 0)
-    count = np.count_nonzero(exact)
-    k = np.where(exact, (ka + kb) % L, -1) if count else np.full(len(exact), -1)
-    if count == len(k):
-        return k, _roots(k, L)
+    k = np.where(exact, (ka + kb) % L, -1)
     return k, _exact_values(k, _cmul(za, zb), L, exact)
 
 
@@ -231,8 +226,9 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def _encode(gains: list[Gain]) -> tuple[np.ndarray, np.ndarray, int]:
-    """(k, z, L) of a list of gains."""
+def _encode(gains: list) -> tuple[np.ndarray, np.ndarray, int]:
+    """(k, z, L) of a list of gains; a value that is not a Gain is read as Gain.numeric."""
+    gains = [x if isinstance(x, Gain) else Gain.numeric(x) for x in gains]
     k, L = _exponents([x.angle for x in gains])
     return k, np.array([x.value for x in gains], dtype=complex), L
 
@@ -261,8 +257,8 @@ class GainGraph:
     exponent mod ``L`` (gain exp(2*pi*i*k/L)), and -1 for a numeric gain.
     Instances are immutable: the arrays are read-only, and ``gains``, a
     read-only mapping from (u, v) to the Gain of u -> v in sorted key
-    order, is built on first use.  ``GainGraph(n, gains)`` takes such a
-    mapping.
+    order, is decoded from the arrays on first use.  ``GainGraph(n, gains)``
+    takes such a mapping; a value that is not a Gain is read as Gain.numeric.
     """
 
     __slots__ = ("n", "u", "v", "k", "z", "L", "_gains")
@@ -273,14 +269,15 @@ class GainGraph:
         u, v = pairs[:, 0].copy(), pairs[:, 1].copy()
         if not ((0 <= u) & (u < v) & (v < n)).all():
             raise IndexOutOfRange(f"gain keys must satisfy 0 <= u < v < {n}")
-        values = [gains[e] for e in keys]  # type: ignore[index]
-        self._fill(n, u, v, *_encode(values), MappingProxyType(dict(zip(keys, values))))
+        self._fill(n, u, v, *_encode([gains[e] for e in keys]))  # type: ignore[index]
 
     def _fill(self, n: int, u: np.ndarray, v: np.ndarray, k: np.ndarray, z: np.ndarray,
-              L: int, gains: Optional[Mapping] = None) -> None:
+              L: int) -> None:
+        if n < 0:
+            raise IndexOutOfRange(f"vertex count must be non-negative, got {n}")
         for a in (u, v, k, z):
             a.setflags(write=False)
-        for name, value in zip(self.__slots__, (n, u, v, k, z, L, gains)):
+        for name, value in zip(self.__slots__, (n, u, v, k, z, L, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -372,10 +369,9 @@ def _sorted(n: int, u: np.ndarray, v: np.ndarray, k: np.ndarray, z: np.ndarray,
             L: int) -> GainGraph:
     """The graph of the oriented edges u -> v, u != v, with gains (k, z)."""
     flip = u > v
-    if np.count_nonzero(flip):
-        k, z = k.copy(), z.copy()
-        k[flip], z[flip] = _conj(k[flip], z[flip], L)
-        u, v = np.minimum(u, v), np.maximum(u, v)
+    k, z = k.copy(), z.copy()
+    k[flip], z[flip] = _conj(k[flip], z[flip], L)
+    u, v = np.minimum(u, v), np.maximum(u, v)
     order = np.argsort(u * n + v)
     return _graph(n, u[order], v[order], k[order], z[order], L)
 
@@ -388,8 +384,8 @@ def build(n: int, edges: list[tuple[int, int, Gain]]) -> GainGraph:
     """
     edges = list(edges)
     pairs = np.array([(a, b) for a, b, _ in edges], dtype=np.intp).reshape(-1, 2)
-    gains = [x if isinstance(x, Gain) else Gain.numeric(x) for _, _, x in edges]
-    return _assemble(n, pairs[:, 0].copy(), pairs[:, 1].copy(), *_encode(gains))
+    return _assemble(n, pairs[:, 0].copy(), pairs[:, 1].copy(),
+                     *_encode([x for _, _, x in edges]))
 
 
 def from_matrix(A: np.ndarray) -> GainGraph:
@@ -443,26 +439,12 @@ def _positions(g: GainGraph, pairs: list[tuple[int, int]]) -> np.ndarray:
     return np.searchsorted(g.u * g.n + g.v, [min(e) * g.n + max(e) for e in pairs])
 
 
-def _gains_along(g: GainGraph, pairs: list[tuple[int, int]], at: np.ndarray) -> list[Gain]:
-    """g.gain(a, b) for each pair, given the positions of their edges; decodes only those."""
-    return [x if a < b else x.conj()
-            for x, (a, b) in zip(_decode(g.k[at], g.z[at], g.L), pairs)]
-
-
 def _switched(g: GainGraph, diagonal: list[Gain]) -> tuple[np.ndarray, np.ndarray, int]:
     """(k, z, L) of conj(s_u) * gain(u, v) * s_v, multiplied in that order."""
     ks, zs, Ls = _encode(diagonal)
     L = math.lcm(g.L, Ls)
     ks, k = _rescale(ks, Ls, L), _rescale(g.k, g.L, L)
-    numeric, numeric_edges = np.count_nonzero(ks < 0), np.count_nonzero(k < 0)
-    if not numeric and not numeric_edges:
-        # every factor exact: the product is exact, its exponent the sum
-        k = (k - ks[g.u] + ks[g.v]) % L
-        return k, _roots(k, L), L
     cks, czs = _conj(ks, zs, L)
-    if numeric == len(ks) or numeric_edges == len(k):
-        # a numeric factor in every product: every product is numeric
-        return np.full(len(k), -1), _cmul(_cmul(czs[g.u], g.z), zs[g.v]), L
     k, z = _mul(cks[g.u], czs[g.u], k, g.z, L)
     return (*_mul(k, z, ks[g.v], zs[g.v], L), L)
 
@@ -512,6 +494,7 @@ class SwitchingWitness:
 
 
 def apply_witness(g: GainGraph, w: SwitchingWitness) -> GainGraph:
+    """The graph w turns g into: converse if conjugated, then relabel, then switch."""
     h = converse(g) if w.conjugated else g
     return switch(relabel(h, w.permutation), w.diagonal)
 
@@ -560,9 +543,11 @@ def normalize_spanning_tree(g: GainGraph) -> tuple[GainGraph, SwitchingWitness]:
     tree = _bfs_tree(g)
     at = _positions(g, tree)
     s = [ONE] * g.n
-    if np.count_nonzero(g.k[at]):      # else every tree gain is the exact 1, and so is s
-        for (u, v), gn in zip(tree, _gains_along(g, tree, at)):
-            s[v] = s[u] * gn.conj()
+    # skipped when every tree gain is the exact 1, as on every refine_gains call from run_search
+    if np.count_nonzero(g.k[at]):
+        # x is the gain of min(u, v) -> max(u, v); s[v] = s[u] * conj(gain(u -> v))
+        for (u, v), x in zip(tree, _decode(g.k[at], g.z[at], g.L)):
+            s[v] = s[u] * (x.conj() if u < v else x)
     k, z, L = _switched(g, s)
     # the switch leaves 1 on the tree up to rounding; write the exact 1
     k[at], z[at] = 0, ONE.value
@@ -570,15 +555,15 @@ def normalize_spanning_tree(g: GainGraph) -> tuple[GainGraph, SwitchingWitness]:
 
 
 def _diagonal_entry(dw: Gain, hwu: Gain, gwv: Gain) -> Gain:
-    """d_v with conj(d_w) * hwu * d_v = gwv: the switch sending w -> u onto w' -> v."""
+    """d_v with conj(d_w) * hwu * d_v = gwv; the isomorphism search's diagonal rule."""
     return dw * hwu.conj() * gwv
 
 
-def _agree(k: np.ndarray, z: np.ndarray, L: int, h: GainGraph, tol: float) -> bool:
-    """Whether every gain (k, z) is Gain.close to h's on the same edge."""
-    common = math.lcm(L, h.L)
-    k, kh = _rescale(k, L, common), _rescale(h.k, h.L, common)
-    d = z - h.z
+def _agree(g: GainGraph, h: GainGraph, tol: float) -> bool:
+    """Whether every gain of g is Gain.close to h's on the same edge; one support."""
+    common = math.lcm(g.L, h.L)
+    k, kh = _rescale(g.k, g.L, common), _rescale(h.k, h.L, common)
+    d = g.z - h.z
     return bool(np.where((k >= 0) & (kh >= 0), k == kh, np.hypot(d.real, d.imag) <= tol).all())
 
 
@@ -589,15 +574,12 @@ def switching_equivalent(g1: GainGraph, g2: GainGraph) -> Optional[SwitchingWitn
     """
     if g1.n != g2.n or not (np.array_equal(g1.u, g2.u) and np.array_equal(g1.v, g2.v)):
         raise SupportMismatch("graphs must share their underlying support")
-    tree = _bfs_tree(g1)
-    at = _positions(g1, tree)
-    d = [ONE] * g1.n
-    for (u, v), h, x in zip(tree, _gains_along(g1, tree, at), _gains_along(g2, tree, at)):
-        d[v] = _diagonal_entry(d[u], h, x)
-    k, z, L = _switched(g1, d)
-    if not _agree(k, z, L, g2, NUMERIC_EQ_TOL):
+    (h1, w1), (h2, w2) = normalize_spanning_tree(g1), normalize_spanning_tree(g2)
+    if not _agree(h1, h2, NUMERIC_EQ_TOL):
         return None
-    return SwitchingWitness(list(range(g1.n)), d, False)
+    # conj(s1_u) g1 s1_v = conj(s2_u) g2 s2_v, so d = s1 * conj(s2) switches g1 onto g2
+    return SwitchingWitness(list(range(g1.n)),
+                            [a * b.conj() for a, b in zip(w1.diagonal, w2.diagonal)], False)
 
 
 class _Budget:
@@ -631,7 +613,10 @@ def switching_isomorphic(g1: GainGraph, g2: GainGraph,
     the image is pruned unless every other placed neighbour agrees within
     ``tol``.  Runs on g1, then on its converse, with one node-expansion
     budget for both; Timeout is *not* a proof of non-isomorphism.
+    ValueError unless 0 <= tol < inf.
     """
+    if not 0 <= tol < math.inf:     # NaN fails it
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if g1.n != g2.n:
         raise OrderMismatch(f"orders differ: {g1.n} vs {g2.n}")
     if not is_connected(g1) or not is_connected(g2):
@@ -721,6 +706,7 @@ class StructureStats:
 
 
 def structure_stats(g: GainGraph) -> StructureStats:
+    """Degrees, regularity, bipartiteness, and triangle and common-neighbour counts."""
     adj = [set(a) for a in g.neighbors()]
     deg = g.degrees()
     edges = list(zip(g.u.tolist(), g.v.tolist()))

@@ -159,6 +159,7 @@ def gain_to_lines(g: GainGraph, cert: Optional[TwoEvCertificate] = None) -> Line
 def lines_to_gain(system: LineSystem, alpha: float) -> GainGraph:
     """Scaled Gram off-diagonal as gains: edge where |inner| = alpha, none at 0."""
     G = system.gram()
+    # read here, not through from_matrix, which would re-check that G is Hermitian
     us, vs = np.nonzero(np.triu(_angle_check(G, alpha) > 1e-8, 1))
     w = G[us, vs]
     # the bits of numpy's scalar w / abs(w): abs is hypot, and the division

@@ -29,7 +29,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import LengthMismatch
-from .gains import GainGraph, _bfs_tree, _check_unit, _graph, _roots, normalize_spanning_tree
+from .gains import (GainGraph, _bfs_tree, _check_unit, _graph, _roots, _sorted,
+                    normalize_spanning_tree)
 from .spectral import TwoEvCertificate, certify_two_ev
 
 Objective = Callable[[np.ndarray], float]
@@ -151,8 +152,7 @@ def _graph_from_state(n: int, tree: list, free: list, angles: np.ndarray) -> Gai
     k = np.zeros(len(z), dtype=np.int64)
     k[len(tree):] = -1
     u, v = np.array(tree + free, dtype=np.intp).reshape(-1, 2).T
-    order = np.argsort(u * n + v)
-    return _graph(n, u[order], v[order], k[order], z[order], 1)
+    return _sorted(n, u, v, k, z, 1)
 
 
 def _seeded_start(m: int, seed: int):
@@ -310,7 +310,10 @@ def snap_gains(g: GainGraph, Q: int = 24) -> Optional[tuple[GainGraph, TwoEvCert
     Exact gains of order at most Q stay.  Gains further than 1e-3 radians
     from every such root abort the snap.  Returns the snapped graph with
     its certificate at tol 1e-9, or None if it does not re-certify.
+    ValueError unless Q >= 1.
     """
+    if not Q >= 1:
+        raise ValueError(f"snap order Q must be at least 1, got {Q}")
     angles = []         # (p, q) per edge
     for j, z in zip(g.k.tolist(), g.z.tolist()):
         d = math.gcd(j, g.L)

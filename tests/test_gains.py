@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import gc
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -225,6 +227,37 @@ def test_a_gain_graph_cannot_be_changed():
     assert g.gains == c4(I_G).gains
 
 
+def test_a_complex_value_reads_as_a_numeric_gain():
+    assert GainGraph(2, {(0, 1): 1j}) == build(2, [(0, 1, 1j)]) \
+        == build(2, [(0, 1, Gain.numeric(1j))])
+    g = c4(I_G)
+    assert switch(g, [1] * g.n) == switch(g, [Gain.numeric(1)] * g.n)
+    for make in (lambda: GainGraph(2, {(0, 1): 0.5j}), lambda: build(2, [(0, 1, 2)]),
+                 lambda: switch(g, [1, 1, 1, 0.5])):
+        with pytest.raises(NonUnitGain):
+            make()
+
+
+@pytest.mark.parametrize("make", [lambda: build(-2, []), lambda: GainGraph(-1)],
+                         ids=["build", "GainGraph"])
+def test_a_negative_vertex_count_is_refused(make):
+    with pytest.raises(IndexOutOfRange, match="vertex count"):
+        make()
+
+
+@pytest.mark.parametrize("g", [
+    c4(I_G),
+    build(3, [(0, 1, Gain.numeric(complex(0.6, -0.8))), (2, 1, Gain.exact(1, 3))]),
+    build(3, [(0, 1, Gain.exact(1, 2 ** 70)), (1, 2, Gain.exact(1, 3))]),
+    GainGraph(0),
+], ids=["exact", "mixed", "past-int64", "empty"])
+def test_a_gain_graph_survives_pickle_and_deepcopy(g):
+    for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert h == g and h.L == g.L and h.k.tolist() == g.k.tolist()
+        assert h.matrix().tobytes() == g.matrix().tobytes()
+        assert not any(a.flags.writeable for a in (h.u, h.v, h.k, h.z))
+
+
 def test_a_gain_graph_keeps_its_gains_in_sorted_key_order():
     g = build(4, [(2, 3, ONE), (1, 0, I_G), (3, 0, ONE)])
     assert list(g.gains) == [(0, 1), (0, 3), (2, 3)]
@@ -391,6 +424,26 @@ def test_switching_equivalent_finds_diagonal():
     assert np.allclose(apply_witness(g, w).matrix(), h.matrix())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_units)), st.sampled_from(sorted(_units)))
+def test_switching_equivalent_finds_every_switch_and_no_negated_cycle(data, kind,
+                                                                      diagonal_kind):
+    g = data.draw(_gain_graphs(kind))
+    d = [data.draw(_units[diagonal_kind]) for _ in range(g.n)]
+    h = switch(g, d)
+    w = switching_equivalent(g, h)
+    assert w is not None and w.permutation == list(range(g.n)) and not w.conjugated
+    if g.is_exact and all(x.is_exact for x in d):
+        assert apply_witness(g, w) == h
+    else:
+        assert np.max(np.abs(apply_witness(g, w).matrix() - h.matrix()), initial=0.0) <= 1e-9
+    tree = {(min(e), max(e)) for e in _bfs_tree(g)}
+    cycle_edges = [e for e in g.gains if e not in tree]
+    if cycle_edges:
+        e = data.draw(st.sampled_from(cycle_edges))
+        assert switching_equivalent(g, GainGraph(g.n, {**g.gains, e: -g.gains[e]})) is None
+
+
 def test_switching_equivalent_rejects_different_cycle_gain():
     w = switching_equivalent(c4(ONE), c4(I_G))
     assert w is None
@@ -487,6 +540,13 @@ def test_switching_isomorphic_raises_timeout_past_its_budget():
     assert switching_isomorphic(g, h, budget=2 * 66) is None
     with pytest.raises(Timeout, match="isomorphism search exceeded 131 expansions"):
         switching_isomorphic(g, h, budget=2 * 66 - 1)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_switching_isomorphic_rejects_a_tolerance_outside_0_to_inf(tol):
+    g = build(3, [(0, 1, Gain.numeric(1j)), (1, 2, ONE), (0, 2, ONE)])
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        switching_isomorphic(g, g, tol=tol)
 
 
 def test_switching_isomorphic_rejects_a_negative_budget():

@@ -4,6 +4,7 @@ every module-level private name in the package is referenced somewhere."""
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,13 @@ def _referenced(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.ImportFrom):
             refs.update(a.name for a in node.names)
     return refs
+
+
+def test_every_public_function_and_class_has_a_docstring():
+    public = [getattr(gainforge, name) for name in gainforge.__all__]
+    bare = [obj.__name__ for obj in public
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and not inspect.getdoc(obj)]
+    assert not bare, f"public names without a docstring: {bare}"
 
 
 def test_no_unreferenced_private_module_names():

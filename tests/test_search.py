@@ -599,6 +599,13 @@ def test_snap_returns_none_for_irrational_angles():
     assert snap_gains(h, Q=24) is None
 
 
+@pytest.mark.parametrize("Q", [0, -3])
+def test_snap_rejects_an_order_below_one(Q):
+    g = build(3, [(0, 1, Gain.numeric(1j)), (1, 2, Gain.exact(1, 3))])
+    with pytest.raises(ValueError, match="at least 1"):
+        snap_gains(g, Q)
+
+
 def test_snap_is_identity_on_exact_graphs():
     g = complete(4)
     snapped, _ = snap_gains(g, Q=24)
