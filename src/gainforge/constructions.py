@@ -605,13 +605,15 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 
 def fixed_catalog(name: str, **params) -> GainGraph:
-    """The catalog entry ``name`` built with the given free parameters."""
+    """The catalog entry ``name`` built with the given free parameters; a
+    value that is not a Gain is read as ``Gain.numeric(value)``."""
     entry = catalog_entry(name)
     unknown = sorted(set(params) - set(entry.parameters))
     if unknown:
         takes = ", ".join(entry.parameters) or "no parameters"
         raise BadParam(f"{name} has no parameter {', '.join(unknown)}; it takes {takes}")
-    return entry.build(**params)
+    return entry.build(**{key: x if isinstance(x, Gain) else Gain.numeric(x)
+                          for key, x in params.items()})
 
 
 # -- batch verification ----------------------------------------------------------

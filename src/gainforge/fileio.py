@@ -141,16 +141,19 @@ def parse_lines(text: str) -> LineSystem:
         raise ParseError(rows[0][0] if rows else 1, "expected header 'lines v1'")
     if len(rows) < 3:
         raise ParseError(rows[-1][0], "missing dim/count headers")
-    for idx, key in ((1, "dim"), (2, "count")):
-        if rows[idx][1][0] != key or len(rows[idx][1]) != 2:
-            raise ParseError(rows[idx][0], f"expected '{key} <int>'")
-    try:
-        m = int(rows[1][1][1])
-        n = int(rows[2][1][1])
-    except ValueError:
-        raise ParseError(rows[1][0], "dim and count must be integers") from None
-    if m <= 0 or n < 0:
-        raise ParseError(rows[1][0], "dim must be positive and count nonnegative")
+    sizes = []
+    for (lineno, tok), key in zip(rows[1:3], ("dim", "count")):
+        if tok[0] != key or len(tok) != 2:
+            raise ParseError(lineno, f"expected '{key} <int>'")
+        try:
+            sizes.append(int(tok[1]))
+        except ValueError:
+            raise ParseError(lineno, f"{key} must be an integer") from None
+    m, n = sizes
+    if m <= 0:
+        raise ParseError(rows[1][0], "dim must be positive")
+    if n < 0:
+        raise ParseError(rows[2][0], "count must be nonnegative")
 
     vec_rows = rows[3:]
     if len(vec_rows) != n:

@@ -9,7 +9,8 @@ theta1 is at most n/2.
 The characteristic polynomial is also computed independently of any
 eigensolver, from the elementary subgraphs of the underlying graph
 (components that are single edges or cycles); that second route is the
-oracle used to cross-check the numerics.
+oracle used to cross-check the numerics.  A table of path sums over vertex
+subsets weighs each subset as one component, by one rule for edges and cycles.
 """
 
 from __future__ import annotations
@@ -145,62 +146,53 @@ def predicted_thetas(n: int, m: int, k: int) -> tuple[float, float]:
 #
 # det(xI - A) = sum_i c_i x^(n-i) where c_i collects every subgraph H on i
 # vertices whose components are single edges or cycles, weighted by
-# (-1)^(#components) * 2^(#cycles) * prod_cycles Re(gain).  Computed by a
-# deletion recurrence on vertex subsets (bitmasks): the lowest vertex of a
-# subset is covered either by one of its edges or by a cycle through it.
+# (-1)^(#components) * 2^(#cycles) * prod_cycles Re(gain) (Harary 1962).
+# Tables over vertex subsets (bitmasks), after Held and Karp (1962): paths[S][u]
+# sums the gain products of the paths from min(S) to u through exactly S; minus
+# their sum closed at min(S) weighs S as one component, -|gain|^2 = -1 for an
+# edge and -2 Re(gain) for a cycle walked both ways.  covers[mask] splits off
+# the component through the lowest vertex of mask.
 
 def char_poly_elementary(g: GainGraph) -> list[float]:
     """Coefficients [c_0, ..., c_n] of det(xI - A), c_0 = 1.
 
-    Enumerates elementary subgraphs instead of calling an eigensolver,
+    Sums over elementary subgraphs instead of calling an eigensolver,
     so it serves as an independent oracle.  Exponential in n; raises
     TooLarge for n > 12.
     """
     n = g.n
     if n > 12:
         raise TooLarge(f"n = {n} exceeds the enumeration limit 12")
-    adj = [0] * n
-    gain_val: dict[tuple[int, int], complex] = {}
-    for u, v, z in zip(g.u.tolist(), g.v.tolist(), g.z.tolist()):
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        gain_val[(u, v)] = z
-        gain_val[(v, u)] = z.conjugate()
-
-    # covers[mask]: summed weight over elementary subgraphs covering exactly
-    # mask.  Each term reads a strict submask, so increasing order has it ready.
+    A = g.matrix().tolist()
+    adj = [sum(1 << w for w, a in enumerate(row) if a) for row in A]
+    paths = [[0j] * n for _ in range(1 << n)]
+    for v in range(n):
+        paths[1 << v][v] = 1 + 0j
+    # every entry reads smaller masks only, so increasing order has them ready
+    weight = [0.0] * (1 << n)
+    for S in range(1, 1 << n):
+        v = (S & -S).bit_length() - 1
+        closed = 0j
+        for u in _bits(S):
+            p = paths[S][u]
+            if p:
+                closed += p * A[u][v]
+                for w in _bits((adj[u] & ~S) >> v << v):    # w > v outside S
+                    paths[S | 1 << w][w] += p * A[u][w]
+        weight[S] = -closed.real
     covers = [1.0] + [0.0] * ((1 << n) - 1)
     coeffs = [1.0] + [0.0] * n
     for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = sub = mask ^ low
         total = 0.0
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << v)
-        for u in _bits(adj[v] & rest):
-            total -= covers[rest & ~(1 << u)]
-        for u1 in _bits(adj[v] & rest):
-            total += _cycles(adj, gain_val, covers, mask, v, u1, (1 << v) | (1 << u1),
-                             gain_val[(v, u1)], u1)
+        while sub:          # a lone vertex weighs 0, so sub = 0 adds nothing
+            total += weight[sub | low] * covers[rest ^ sub]
+            sub = (sub - 1) & rest
         covers[mask] = total
         if total:
             coeffs[mask.bit_count()] += total
     return coeffs
-
-
-def _cycles(adj: list[int], gain_val: dict[tuple[int, int], complex], covers: list[float],
-            mask: int, v: int, node: int, used: int, prod: complex, first: int) -> float:
-    """Weight of the cycles through v inside mask that extend the path
-    v -> first -> ... -> node over the vertices in used, each times the
-    covers of the rest of mask."""
-    acc = 0.0
-    for u in _bits(adj[node] & mask & ~used):
-        p2 = prod * gain_val[(node, u)]
-        used2 = used | (1 << u)
-        # close the cycle back at v; count each cycle in one
-        # orientation only (first step < last step)
-        if (adj[u] >> v) & 1 and used2.bit_count() >= 3 and first < u:
-            acc += -2.0 * (p2 * gain_val[(u, v)]).real * covers[mask & ~used2]
-        acc += _cycles(adj, gain_val, covers, mask, v, u, used2, p2, first)
-    return acc
 
 
 def char_poly_from_eigenvalues(evs: list[float]) -> list[float]:

@@ -35,6 +35,7 @@ from gainforge.errors import (
     EmptyGraph,
     InvalidOrder,
     NotAWeighingMatrix,
+    NonUnitGain,
     NotGaussianPrime,
     NotSquareRootOfkI,
     UnknownName,
@@ -261,6 +262,16 @@ def test_fixed_catalog_rejects_a_parameter_the_entry_does_not_take():
         fixed_catalog("T6", y=ONE)
     with pytest.raises(BadParam, match="takes no parameters"):
         fixed_catalog("K8star", x=ONE)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog() if e.parameters])
+def test_fixed_catalog_reads_a_value_that_is_not_a_gain_as_numeric(name):
+    # as GainGraph, build and switch do
+    slots = catalog_entry(name).parameters
+    g = fixed_catalog(name, **dict.fromkeys(slots, 1j))
+    assert g == fixed_catalog(name, **dict.fromkeys(slots, Gain.numeric(1j)))
+    with pytest.raises(NonUnitGain):
+        fixed_catalog(name, **dict.fromkeys(slots, 2.0))
 
 
 def test_catalog_builders_take_exactly_the_declared_parameters():

@@ -116,6 +116,18 @@ def test_lines_parse_errors(text, complaint):
     assert complaint in str(err.value)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("lines v1\ndim x\ncount 1\n", 2),
+    ("lines v1\ndim 0\ncount 1\n", 2),
+    ("lines v1\ndim 1\ncount x\n", 3),
+    ("lines v1\ndim 1\ncount -1\n", 3),
+])
+def test_lines_header_errors_name_their_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_lines(text)
+    assert err.value.line == line
+
+
 def test_lines_vector_index_validation():
     head = "lines v1\ndim 1\ncount 2\n"
     with pytest.raises(ParseError):

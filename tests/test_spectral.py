@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gainforge.constructions import complete, ig, named_weighing, _graph_from_entries
+from gainforge.constructions import (
+    _graph_from_entries,
+    complete,
+    fixed_catalog,
+    ig,
+    named_weighing,
+)
 from gainforge.errors import EmptyGraph, InvalidParameters, TooLarge
 from gainforge.gains import Gain, build, switch
 from gainforge.spectral import (
@@ -183,6 +190,51 @@ def test_char_poly_routes_agree_on_random_gains():
     a = char_poly_elementary(g)
     b = char_poly_from_eigenvalues(eigenvalues(g).eigenvalues)
     assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-8
+
+
+_exact_unit = st.builds(Gain.exact, st.integers(0, 47), st.integers(1, 24))
+_numeric_unit = st.floats(0.0, 1.0).map(
+    lambda t: Gain.numeric(complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))))
+_units = {"exact": _exact_unit, "numeric": _numeric_unit,
+          "mixed": st.one_of(_exact_unit, _numeric_unit)}
+
+
+@st.composite
+def _connected_gain_graphs(draw, kind):
+    """A connected graph on at most 9 vertices with gains of the given kind."""
+    n = draw(st.integers(1, 9))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+    edges = sorted(tree) + [e for e in others if draw(st.booleans())]
+    return build(n, [(u, v, draw(_units[kind])) for u, v in edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_units)))
+def test_char_poly_routes_agree_on_connected_graphs(data, kind):
+    g = data.draw(_connected_gain_graphs(kind))
+    a = np.asarray(char_poly_elementary(g))
+    b = np.asarray(char_poly_from_eigenvalues(eigenvalues(g).eigenvalues))
+    assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(1.0, np.abs(b)))
+
+
+def test_char_poly_of_complete_graphs_is_exact():
+    assert char_poly_elementary(build(0, [])) == [1.0]
+    for n in range(1, 13):
+        # (x - n + 1)(x + 1)^(n - 1), expanded in integers
+        expected = [1]
+        for root in [n - 1] + [-1] * (n - 1):
+            expected = [a - root * b for a, b in zip(expected + [0], [0] + expected)]
+        assert char_poly_elementary(complete(n)) == expected, n
+
+
+@pytest.mark.parametrize("name", ["MUB_C3(4)", "ND(IG(W3))", "M1", "M2", "M3", "M4"])
+def test_char_poly_routes_agree_on_twelve_vertex_catalog_graphs(name):
+    g = fixed_catalog(name)
+    assert g.n == 12
+    a = np.asarray(char_poly_elementary(g))
+    b = np.asarray(char_poly_from_eigenvalues(eigenvalues(g).eigenvalues))
+    assert np.max(np.abs(a - b)) <= 1e-6
 
 
 def test_char_poly_refuses_more_than_twelve_vertices():
