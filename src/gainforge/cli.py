@@ -223,11 +223,10 @@ def _cmd_search(args) -> int:
     g = fileio.parse_gaingraph(_read(args.underlying))
     cfg = _search_config(args)
     if args.target_spectrum:
-        target = np.array([float(tok) for tok in
-                           _read(args.target_spectrum).split()])
+        target = np.sort([float(tok) for tok in _read(args.target_spectrum).split()])
         if not np.isfinite(target).all():
             raise ValueError(f"{args.target_spectrum}: target eigenvalues must be finite")
-        objective = lambda A: search_mod.objective_cospectral(A, target)
+        objective = lambda A: search_mod._cospectral(A, target)
     else:
         objective = search_mod.objective_two_ev
     result = search_mod.run_search(g, cfg, objective)

@@ -14,14 +14,18 @@ results whose gains land on low-order roots of unity are snapped to an
 exact certified graph.  A multi-start search is a loop over seeds.
 
 An objective is any callable that maps one Hermitian ``(n, n)`` matrix
-to a real number.  A Metropolis step costs one proposal, one objective
-call and one acceptance test; for ``objective_two_ev`` that is one small
-matmul and a few inner products, with no eigensolve.  Only
-``objective_cospectral`` solves for eigenvalues, with ``np.linalg.eigvalsh``.
+to a real number.  The chain scores its states through ``_scorer``,
+prepared once per support.  ``objective_two_ev`` is scored in cycle form:
+one small matvec over the triangles and 4-cycles, one ``cos`` and two
+reductions per step, with no matrix.  That form cancels near zero, so it
+only ranks moves: "Converged" is decided on the matrix.  Any other
+objective is called on the gain matrix, written in place at each step;
+only ``objective_cospectral`` solves for eigenvalues.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -81,9 +85,13 @@ def objective_two_ev(A: np.ndarray) -> float:
 
 
 def objective_cospectral(A: np.ndarray, target: np.ndarray) -> float:
-    """Sum of squared deviations between the sorted spectra."""
+    """Sum of squared deviations between the sorted spectra; target in any order."""
+    return _cospectral(A, np.sort(np.asarray(target, dtype=float)))
+
+
+def _cospectral(A: np.ndarray, target: np.ndarray) -> float:
+    """objective_cospectral for a float target already sorted ascending."""
     evs = np.linalg.eigvalsh(A)
-    target = np.sort(np.asarray(target, dtype=float))
     if len(target) != len(evs):
         raise LengthMismatch(f"target has {len(target)} values for order {len(evs)}")
     return float(np.add.reduce(np.square(evs - target)))
@@ -121,15 +129,15 @@ class SearchConfig:
 class SearchResult:
     status: str                     # "Converged" | "Exhausted"
     best_gains: GainGraph
-    best_f: float
+    best_f: float                   # the objective of best_gains.matrix()
     snapped: Optional[GainGraph] = None
     snapped_cert: Optional[TwoEvCertificate] = None
     # the chain's annealing, empty (with zero counters) if run_search's start
     # solved or the support has no free angle; run_search stops the chain
     # early, so its trace is a prefix of anneal's
-    trace: list = field(default_factory=list)   # (temperature, best_f) rows
+    trace: list = field(default_factory=list)   # (temperature, chain's best score) rows
     seed: int = 0
-    steps: int = 0          # Metropolis steps taken, one objective call each
+    steps: int = 0          # Metropolis steps taken, one score each
     accepted: int = 0       # accepted moves
 
 
@@ -161,36 +169,127 @@ def _seeded_start(m: int, seed: int):
     return rng, rng.uniform(0.0, 2.0 * math.pi, size=m)
 
 
-def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
-                  objective: Objective):
-    """The Metropolis chain seeded with cfg.seed, as a generator of its states.
+# The cycle form costs a (rows, m) matvec and one cos per row a step, so
+# writing the matrix wins once rows * m is large: per step, 8.9 against
+# 15.7 us on SIC3 (462 cycles x 28 angles), 19.1 against 14.0 us on
+# K10star (750 x 36).  Past this product the chain scores on the matrix.
+_CYCLE_CAP = 20_000
 
-    Yields (t, best_f, best_angles, steps, accepted): first the start, with
-    t None and no step taken, then once after each temperature t.  It ends
-    when best_f falls below cfg.epsilon or t cools to cfg.tau; a consumer
-    may also stop early.
 
-    Each temperature draws an (iters_per_temp, m) block of angle steps
-    with one ``rng.uniform`` call, then its acceptance uniforms with one
-    ``rng.random`` call; step r scores row r and tests it with coin r.
-    The block is 104 KB for the octagon complement (m = 13) at 500 steps
-    per temperature, 416 KB at the default 2000.
+def _cycles(n: int, edges: list):
+    """Every triangle (a, b, c), then every 4-cycle (a, b, c, d), of the graph, once.
+
+    A cycle starts at its lowest vertex a.  A 4-cycle is found through a
+    pair b < d of common neighbours of a and its opposite vertex c.
     """
-    rng, angles = _seeded_start(len(free), cfg.seed)
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    up = [sorted(w for w in adj[a] if w > a) for a in range(n)]
+    for a in range(n):
+        for i, b in enumerate(up[a]):
+            for c in up[a][i + 1:]:
+                if c in adj[b]:
+                    yield a, b, c
+    for a in range(n):
+        for c in range(a + 1, n):
+            common = [w for w in up[a] if w in adj[c]]
+            for i, b in enumerate(common):
+                for d in common[i + 1:]:
+                    yield a, b, c, d
+
+
+def _cycle_scorer(n: int, tree: list, free: list):
+    """objective_two_ev of a state from its cycle angles, or None past _CYCLE_CAP.
+
+    R is the residual of A^2 projected onto span{A, I}, so
+    ||R||^2 = tr A^4 - (tr A^3)^2 / tr A^2 - (tr A^2)^2 / n.  On unit gains
+    tr A^2 = 2|E| is fixed, tr A^3 = 6 sum cos(triangle angle) and
+    tr A^4 = c4 + 8 sum cos(4-cycle angle), where c4 = 2 sum deg^2 - 2|E|
+    counts the closed 4-walks that backtrack.  A cycle angle is a signed
+    sum of free angles: row r of B holds its signs.  The sum cancels: on
+    exact catalog solutions it reads up to 2.4e-7 (MUB_C3(3)) where the
+    matrix reads under 1e-14, and a negative square reads as 0.
+    """
     m = len(free)
-    A = _graph_from_state(n, tree, free, angles).matrix()
+    limit = _CYCLE_CAP // m
+    cycles = list(itertools.islice(_cycles(n, tree + free), limit + 1))
+    if len(cycles) > limit:
+        return None
+    column = {e: j for j, e in enumerate(free)}
+    B = np.zeros((len(cycles), m))
+    for r, cycle in enumerate(cycles):
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            j = column.get((min(x, y), max(x, y)))
+            if j is not None:
+                B[r, j] = 1.0 if x < y else -1.0
+    triangles = sum(len(cycle) == 3 for cycle in cycles)
+    weights = np.zeros((2, len(cycles)))
+    weights[0, :triangles] = 6.0        # to tr A^3
+    weights[1, triangles:] = 8.0        # to tr A^4 - c4
+    tr2 = 2.0 * (len(tree) + m)
+    degrees = np.bincount(np.array(tree + free).reshape(-1), minlength=n)
+    base = 2.0 * float(np.square(degrees).sum()) - tr2 - tr2 * tr2 / n     # c4 - tr2^2 / n
+
+    def score(angles: np.ndarray) -> float:
+        tr3, cycles4 = weights.dot(np.cos(B.dot(angles))).tolist()
+        return math.sqrt(max(base + cycles4 - tr3 * tr3 / tr2, 0.0))
+
+    return score
+
+
+def _scorer(n: int, tree: list, free: list, objective: Objective):
+    """The chain's score(angles), and rescore(angles, f) on the state's gain matrix.
+
+    rescore gives the objective of the matrix of a state that scored f.
+    objective_two_ev is scored in cycle form (``_cycle_scorer``) where it
+    fits under _CYCLE_CAP and the support has a free angle, and rescored
+    on the state's gain matrix.  Every other objective is called on the
+    gain matrix, written in place, and rescore returns f as it is.
+    """
+    if free and objective is objective_two_ev:
+        score = _cycle_scorer(n, tree, free)
+        if score is not None:
+            return score, lambda angles, f: objective_two_ev(
+                _graph_from_state(n, tree, free, angles).matrix())
+    A = _graph_from_state(n, tree, free, np.zeros(len(free))).matrix()
     # flat positions of the free entries above and below the diagonal
     flat = A.reshape(-1)
     upper = np.array([u * n + v for u, v in free], dtype=int)
     lower = np.array([v * n + u for u, v in free], dtype=int)
 
-    # the state and the proposals are carried as i times their angles:
-    # multiplying by i is exact, the imaginary parts are the angles and the
-    # real parts are +-0, which exp ignores, so a proposal is one addition
-    # away from its gains
-    phases = 1j * angles
-    f = objective(A)
-    best_f, best_angles = f, angles.copy()
+    def score(angles: np.ndarray) -> float:
+        Z = np.exp(1j * angles)
+        flat[upper] = Z
+        flat[lower] = Z.conj()
+        return objective(A)
+
+    return score, lambda angles, f: f
+
+
+def _anneal_chain(m: int, cfg: SearchConfig, score, rescore):
+    """The Metropolis chain on m free angles seeded with cfg.seed, as a generator.
+
+    Yields (t, best_f, best_angles, steps, accepted): first the start, with
+    t None and no step taken, then once after each temperature t.  It ends
+    when a state scores below cfg.epsilon on its matrix or t cools to
+    cfg.tau; a consumer may also stop early.  score and rescore come from
+    ``_scorer``.  A state that scores below cfg.epsilon takes its rescore,
+    so "Converged" is never decided on the cycle form; best_f, and the
+    trace rows built from it, may carry cycle-form scores otherwise.
+
+    Each temperature draws an (iters_per_temp, m) block of real angle
+    steps with one ``rng.uniform`` call, then its acceptance uniforms with
+    one ``rng.random`` call; step r scores row r and tests it with coin r.
+    The block is 52 KB for the octagon complement (m = 13) at 500 steps
+    per temperature, 208 KB at the default 2000.
+    """
+    rng, angles = _seeded_start(m, cfg.seed)
+    f = score(angles)
+    if f < cfg.epsilon:
+        f = rescore(angles, f)
+    best_f, best_angles = f, angles
     steps = accepted = 0
     yield None, best_f, best_angles, steps, accepted
     t = cfg.t0
@@ -199,21 +298,20 @@ def _anneal_chain(n: int, tree: list, free: list, cfg: SearchConfig,
     iters = cfg.iters_per_temp if m else 0
     while not converged:
         step = math.pi * min(1.0, t)
-        moves = 1j * rng.uniform(-step, step, size=(iters, m))
+        moves = rng.uniform(-step, step, size=(iters, m))
         coins = rng.random(iters)
         for move, coin in zip(moves, coins.tolist()):
-            P = phases + move
-            Z = np.exp(P)
-            flat[upper] = Z
-            flat[lower] = Z.conj()
-            f_new = objective(A)
+            P = angles + move
+            f_new = score(P)
             steps += 1
             # f >= epsilon > 0 here, so the division below is safe
             if f_new < f or coin < math.exp((f - f_new) / (f * t)):
                 accepted += 1
-                phases, f = P, f_new
+                if f_new < cfg.epsilon:
+                    f_new = rescore(P, f_new)
+                angles, f = P, f_new
                 if f < best_f:
-                    best_f, best_angles = f, phases.imag.copy()
+                    best_f, best_angles = f, angles
                 if f < cfg.epsilon:
                     converged = True
                     break
@@ -227,13 +325,16 @@ def anneal(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
            objective: Objective = objective_two_ev) -> SearchResult:
     """Run the annealing chain to the end of its schedule, or until it converges.
 
-    The trace logs (temperature, best_f) once per cooling step.
+    The trace logs (temperature, best_f) once per cooling step, in the
+    chain's scores; the result's best_f is the objective of best_gains.
     Deterministic for a fixed config.
     """
     tree, free = _edge_layout(underlying)
-    states = list(_anneal_chain(underlying.n, tree, free, cfg, objective))
+    score, rescore = _scorer(underlying.n, tree, free, objective)
+    states = list(_anneal_chain(len(free), cfg, score, rescore))
     _, best_f, best_angles, steps, accepted = states[-1]
     g = _graph_from_state(underlying.n, tree, free, best_angles)
+    best_f = rescore(best_angles, best_f)
     status = "Converged" if best_f < cfg.epsilon else "Exhausted"
     return SearchResult(status, g, best_f, trace=[(t, f) for t, f, *_ in states[1:]],
                         seed=cfg.seed, steps=steps, accepted=accepted)
@@ -371,7 +472,8 @@ def run_search(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
     best = polish(_seeded_start(len(free), cfg.seed)[1])
     trace, steps, accepted = [], 0, 0
     if free and not best[1] < cfg.epsilon:
-        chain = _anneal_chain(n, tree, free, cfg, objective)
+        score, rescore = _scorer(n, tree, free, objective)
+        chain = _anneal_chain(len(free), cfg, score, rescore)
         _, best_f, best_angles, steps, accepted = next(chain)
         handed = prev = math.inf
         handed_angles = None
@@ -392,6 +494,7 @@ def run_search(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
         # the chain yields a new array only when its best state moves
         if best_angles is not handed_angles:
             best = polish(best_angles, best)
+        best_f = rescore(best_angles, best_f)
         if not best[1] < best_f:
             best = _graph_from_state(n, tree, free, best_angles), best_f
     g, f = best

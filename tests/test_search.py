@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from gainforge import search
 from gainforge.constructions import catalog, catalog_entry, complete, toral
 from gainforge.errors import Disconnected, LengthMismatch
-from gainforge.gains import Gain, build, switch, switching_isomorphic
+from gainforge.gains import Gain, build, normalize_spanning_tree, switch, switching_isomorphic
 from gainforge.search import (
     SearchConfig,
     SearchResult,
@@ -257,25 +257,37 @@ def test_run_search_reports_exhausted_on_a_hopeless_support():
     assert res.snapped is None
 
 
-# the annealer written plainly: one proposal, one objective call and one
-# Metropolis test at a time, each draw taken from the generator as needed
-def _reference_chain(n: int, tree: list, free: list, cfg: SearchConfig,
-                     objective, seed: int):
-    rng = np.random.default_rng(seed)
+# the gain matrix of a state, written the way the annealer's generic scorer
+# writes it: exact 1 on the tree, exp(i angle) and its conjugate on the free edges
+def _placer(n: int, tree: list, free: list):
     A = np.zeros((n, n), dtype=complex)
     for u, v in tree:
         A[u, v] = A[v, u] = 1.0
     fu = np.array([e[0] for e in free], dtype=int)
     fv = np.array([e[1] for e in free], dtype=int)
 
-    def place(angles: np.ndarray) -> None:
+    def place(angles: np.ndarray) -> np.ndarray:
         z = np.exp(1j * angles)
         A[fu, fv] = z
         A[fv, fu] = z.conj()
+        return A
+
+    return place
+
+
+# the annealer written plainly: one proposal, one score and one Metropolis
+# test at a time, each draw taken from the generator as needed.  A state
+# that scores below epsilon is scored again on its matrix, which decides
+def _reference_chain(n: int, tree: list, free: list, cfg: SearchConfig, score):
+    rng = np.random.default_rng(cfg.seed)
+    place = _placer(n, tree, free)
+
+    def checked(angles: np.ndarray) -> float:
+        f = score(angles)
+        return _numpy_two_ev(place(angles)) if f < cfg.epsilon else f
 
     angles = rng.uniform(0.0, 2.0 * math.pi, size=len(free))
-    place(angles)
-    f = objective(A)
+    f = checked(angles)
     best_f, best_angles = f, angles.copy()
     trace = []
     t = cfg.t0
@@ -286,45 +298,148 @@ def _reference_chain(n: int, tree: list, free: list, cfg: SearchConfig,
         coins = rng.random(cfg.iters_per_temp)
         for r in range(cfg.iters_per_temp):
             proposal = angles + moves[r]
-            place(proposal)
-            f_new = objective(A)
+            f_new = score(proposal)
             # f >= epsilon > 0 here, so the division below is safe
             if f_new < f or coins[r] < math.exp((f - f_new) / (f * t)):
-                angles, f = proposal, f_new
+                angles, f = proposal, checked(proposal)
                 if f < best_f:
                     best_f, best_angles = f, angles.copy()
                 if f < cfg.epsilon:
                     converged = True
                     break
-            else:
-                place(angles)
         trace.append((t, best_f))
         t *= cfg.alpha
         if t <= cfg.tau:
             break
-    return best_f, best_angles, trace, converged
+    return best_angles, trace
 
 
-def _reference_anneal(underlying, cfg):
+def _matrix_score(n: int, tree: list, free: list):
+    place = _placer(n, tree, free)
+    return lambda angles: _numpy_two_ev(place(angles))
+
+
+def _reference_anneal(underlying, cfg, score=None):
+    """best_f on the returned graph's matrix, that graph's matrix, and the trace."""
     tree, free = search._edge_layout(underlying)
-    best_f, best_angles, trace, _ = _reference_chain(underlying.n, tree, free, cfg,
-                                                     _numpy_two_ev, cfg.seed)
-    return best_f, search._graph_from_state(underlying.n, tree, free, best_angles), trace
+    score = score or _matrix_score(underlying.n, tree, free)
+    best_angles, trace = _reference_chain(underlying.n, tree, free, cfg, score)
+    A = search._graph_from_state(underlying.n, tree, free, best_angles).matrix()
+    return _numpy_two_ev(A), A, trace
 
 
 SHORT = dict(t0=1.0, alpha=0.75, iters_per_temp=120, tau=1e-3, epsilon=1e-6)
 
 
+def _outcome(res: SearchResult):
+    return res.best_f, res.best_gains.matrix(), res.trace
+
+
+def _same(got, want) -> bool:
+    return got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
+
+
 @pytest.mark.parametrize("name", sorted(SUPPORTS))
 def test_anneal_follows_the_reference_chain(name):
     support = SUPPORTS[name]()
+    tree, free = search._edge_layout(support)
+    cycle_score = search._cycle_scorer(support.n, tree, free)
     for seed in (0, 1, 2, 5):
         cfg = SearchConfig(seed=seed, **SHORT)
-        best_f, best_gains, trace = _reference_anneal(support, cfg)
-        res = anneal(support, cfg)
-        assert res.best_f == best_f
-        assert res.trace == trace
-        assert np.array_equal(res.best_gains.matrix(), best_gains.matrix())
+        # a wrapped objective is called on the matrix at every step
+        wrapped = anneal(support, cfg, objective=lambda A: objective_two_ev(A))
+        assert _same(_outcome(wrapped), _reference_anneal(support, cfg))
+        # objective_two_ev itself ranks its moves in cycle form
+        assert _same(_outcome(anneal(support, cfg)),
+                     _reference_anneal(support, cfg, cycle_score))
+
+
+# -- the cycle form -------------------------------------------------------------------
+
+def _state(name):
+    """A support as (graph, tree, free, angles of its free gains)."""
+    if name in SUPPORTS:
+        g = SUPPORTS[name]()
+    else:
+        g, _ = normalize_spanning_tree(catalog_entry(name).build())
+    tree, free = search._edge_layout(g)
+    z = dict(zip(zip(g.u.tolist(), g.v.tolist()), g.z.tolist()))
+    assert all(z[e] == 1 for e in tree)
+    return g, tree, free, np.angle([z[e] for e in free])
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORTS) + ["K8star", "MUB_C3(3)", "Renes7"])
+def test_the_cycle_form_scores_what_the_matrix_scores(name):
+    g, tree, free, angles = _state(name)
+    score = search._cycle_scorer(g.n, tree, free)
+    bound = 1e-12 * (2 * g.u.size) ** 2
+    rng = np.random.default_rng(0)
+    states = [angles, np.zeros(len(free))] + [rng.uniform(-10.0, 10.0, len(free))
+                                              for _ in range(20)]
+    for state in states:
+        A = search._graph_from_state(g.n, tree, free, state).matrix()
+        assert abs(score(state) ** 2 - objective_two_ev(A) ** 2) <= bound
+    # every triangle and 4-cycle once, and the backtracking 4-walks on top
+    U = (np.abs(g.matrix()) > 0.5).astype(np.int64)
+    cycles = list(search._cycles(g.n, tree + free))
+    degrees = U.sum(axis=0)
+    assert np.trace(U @ U @ U) == 6 * sum(len(c) == 3 for c in cycles)
+    assert np.trace(U @ U @ U @ U) == \
+        2 * (degrees ** 2).sum() - 2 * g.u.size + 8 * sum(len(c) == 4 for c in cycles)
+
+
+def test_large_supports_score_on_the_matrix(monkeypatch):
+    cycles, pulled = search._cycles, []
+
+    def counted(n, edges):
+        for cycle in cycles(n, edges):
+            pulled.append(cycle)
+            yield cycle
+
+    monkeypatch.setattr(search, "_cycles", counted)
+    rng = np.random.default_rng(1)
+    for name in ("Witting", "K10star"):
+        g, tree, free, _ = _state(name)
+        pulled.clear()
+        assert search._cycle_scorer(g.n, tree, free) is None
+        # the enumeration stops one cycle past the cap: Witting has 3,240
+        # triangles and 59,670 4-cycles
+        assert len(pulled) == search._CYCLE_CAP // len(free) + 1
+        score, rescore = search._scorer(g.n, tree, free, objective_two_ev)
+        angles = rng.uniform(0.0, 2 * math.pi, len(free))
+        A = search._graph_from_state(g.n, tree, free, angles).matrix()
+        assert score(angles) == objective_two_ev(A) == rescore(angles, score(angles))
+
+
+def test_every_criterion_12_support_takes_the_cycle_form():
+    for name in SUPPORTS:
+        g, tree, free, _ = _state(name)
+        assert search._cycle_scorer(g.n, tree, free) is not None, name
+
+
+def test_converged_is_decided_on_the_matrix(monkeypatch):
+    # a cycle form that reads 0 everywhere claims every state solves the control
+    monkeypatch.setattr(search, "_cycle_scorer", lambda n, tree, free: lambda angles: 0.0)
+    cfg = SearchConfig(seed=3, **SHORT)
+    annealed = anneal(octagon_complement(), cfg)
+    # 0.75^25 <= 1e-3 < 0.75^24: the chain never stops on a cycle score
+    assert len(annealed.trace) == 25
+    for res in (annealed, run_search(octagon_complement(), cfg)):
+        assert res.status == "Exhausted" and res.snapped is None
+        assert res.best_f == objective_two_ev(res.best_gains.matrix()) > 1.0
+        assert res.steps == len(res.trace) * SHORT["iters_per_temp"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORTS))
+def test_results_are_scored_on_their_matrix(name):
+    support = SUPPORTS[name]()
+    target = np.linalg.eigvalsh(support.matrix())[::-1]
+    for seed in range(3):
+        cfg = SearchConfig(seed=seed, **SHORT)
+        for objective in (objective_two_ev, lambda A: objective_cospectral(A, target)):
+            for res in (anneal(support, cfg, objective), run_search(support, cfg, objective)):
+                assert res.best_f == objective(res.best_gains.matrix())
+                assert (res.status == "Converged") == (res.best_f < cfg.epsilon)
 
 
 def test_counters_bound_each_other():
@@ -362,9 +477,7 @@ def test_a_tree_support_only_runs_the_cooling_schedule():
     assert (res.steps, res.accepted) == (0, 0)
     assert elapsed < 1.0
     short = SearchConfig(seed=1, **SHORT)
-    best_f, _, trace = _reference_anneal(path, short)
-    res = anneal(path, short)
-    assert (res.best_f, res.trace) == (best_f, trace)
+    assert _same(_outcome(anneal(path, short)), _reference_anneal(path, short))
 
 
 # -- the local solve first, annealing as the fallback --------------------------------
@@ -450,7 +563,8 @@ def test_run_search_anneals_exactly_when_the_local_solve_fails(support):
     # is a prefix of anneal's and its counters are one state of that chain;
     # on a path it stops at the chain's start state, before any temperature
     tree, free = search._edge_layout(support)
-    states = list(search._anneal_chain(support.n, tree, free, cfg, objective_two_ev))
+    scorer = search._scorer(support.n, tree, free, objective_two_ev)
+    states = list(search._anneal_chain(len(free), cfg, *scorer))
     assert annealed.trace == [(t, f) for t, f, *_ in states[1:]]
     assert (len(res.trace) > 0) == bool(free)
     assert res.trace == annealed.trace[:len(res.trace)]
