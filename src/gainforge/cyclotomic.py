@@ -6,7 +6,10 @@ polynomial Phi_L.  Since Phi_L is monic with integer coefficients, the
 divisibility test is exact integer polynomial division -- no floating
 point anywhere.  This is all that is needed to verify WW* = kI with
 residual literally zero for weighing matrices whose entries are exact
-roots of unity.
+roots of unity.  One long division by a monic polynomial,
+``_poly_divmod``, serves both uses: Phi_L is x^L - 1 divided by Phi_d
+for each proper divisor d of L, each remainder zero, and a sum vanishes
+when its remainder modulo Phi_L is zero.
 """
 
 from __future__ import annotations
@@ -25,29 +28,30 @@ def cyclotomic_poly(L: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (L - 1) + [1]
     for d in range(1, L):
         if L % d == 0:
-            poly = _exact_div(poly, list(cyclotomic_poly(d)))
+            poly, rem = _poly_divmod(poly, cyclotomic_poly(d))
+            assert not any(rem), "inexact polynomial division"
     return tuple(poly)
 
 
-def _exact_div(num: list[int], den: list[int]) -> list[int]:
-    """Divide integer polynomials known to divide exactly (den monic)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        out[i] = c
+def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials, den monic; lowest degree first."""
+    rem = list(num)
+    deg = len(den) - 1
+    quo = [0] * max(len(num) - deg, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + deg]
+        quo[i] = c
         if c:
             for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    assert all(x == 0 for x in num), "inexact polynomial division"
-    return out
+                rem[i + j] -= c * dj
+    return quo, rem[:deg]
 
 
 def root_sum_is_zero(terms: dict[Fraction, int]) -> bool:
     """Whether sum over (angle -> coefficient) of coeff * e^(2*pi*i*angle) is 0.
 
-    Angles are rational turns.  Exact: reduces the coefficient vector
-    modulo Phi_L for L the common denominator.
+    Angles are rational turns.  Exact: the remainder of the coefficient
+    vector modulo Phi_L, for L the common denominator, is zero.
     """
     terms = [(a % 1, c) for a, c in terms.items() if c]
     if not terms:
@@ -56,12 +60,4 @@ def root_sum_is_zero(terms: dict[Fraction, int]) -> bool:
     coeffs = [0] * L
     for a, c in terms:     # angles equal mod 1 add up here
         coeffs[int(a * L)] += c
-    # reduce modulo Phi_L: remainder of the division
-    phi = cyclotomic_poly(L)
-    deg = len(phi) - 1
-    for i in range(L - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c:
-            for j in range(deg + 1):
-                coeffs[i - deg + j] -= c * phi[j]
-    return all(x == 0 for x in coeffs[:deg])
+    return not any(_poly_divmod(coeffs, cyclotomic_poly(L))[1])

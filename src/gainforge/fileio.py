@@ -9,11 +9,10 @@ numeric ones.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonUnitGain, ParseError, SelfLoop
+from .errors import DuplicateEdge, IndexOutOfRange, NonUnitGain, ParseError, SelfLoop
 from .gains import Gain, GainGraph, _assemble, _exact_values, _exponents
 from .lines import LineSystem
 
@@ -61,7 +60,7 @@ def serialize_gaingraph(g: GainGraph) -> str:
 
 
 def parse_gaingraph(text: str) -> GainGraph:
-    """The gain graph of a ``gaingraph v1`` text; ParseError names the offending line."""
+    """The gain graph of a ``gaingraph v1`` text; every error names the offending line."""
     rows = _rows(text)
     if not rows or rows[0][1] != ["gaingraph", "v1"]:
         raise ParseError(rows[0][0] if rows else 1, "expected header 'gaingraph v1'")
@@ -74,7 +73,7 @@ def parse_gaingraph(text: str) -> GainGraph:
     if n < 0:
         raise ParseError(rows[1][0], "vertex count must be nonnegative")
 
-    us, vs, angles, values = [], [], [], []
+    us, vs, rotations, values = [], [], [], []
     for lineno, tok in rows[2:]:
         if tok[0] != "e":
             raise ParseError(lineno, f"expected edge line, got {tok[0]!r}")
@@ -99,8 +98,8 @@ def parse_gaingraph(text: str) -> GainGraph:
                 raise ParseError(lineno, f"bad rotation {tok[4]!r}") from None
             if q <= 0 or not 0 <= p < q or math.gcd(p, q) != 1:
                 raise ParseError(lineno, f"rotation {p}/{q} not reduced into [0,1)")
-            angles.append(Fraction(p, q))
-            values.append(0j)       # set from the angle below
+            rotations.append((p, q))
+            values.append(0j)       # set from the rotation below
         elif kind == "num":
             if len(tok) != 6:
                 raise ParseError(lineno, "num gain needs re and im")
@@ -109,16 +108,26 @@ def parse_gaingraph(text: str) -> GainGraph:
             except ValueError:
                 raise ParseError(lineno, "bad numeric gain components") from None
             if not abs(abs(z) - 1.0) <= _UNIT_TOL:      # as Gain.numeric tests it
-                raise NonUnitGain(f"|z| = {abs(z)!r} is not 1 within {_UNIT_TOL}")
-            angles.append(None)
+                raise NonUnitGain(f"line {lineno}: |z| = {abs(z)!r} is not 1 within {_UNIT_TOL}")
+            rotations.append(None)
             values.append(z)
         else:
             raise ParseError(lineno, f"unknown gain kind {kind!r}")
         us.append(u)
         vs.append(v)
-    k, L = _exponents(angles)
+    k, L = _exponents(rotations)
     z = _exact_values(k, np.array(values, dtype=complex), L, k >= 0)
-    return _assemble(n, np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp), k, z, L)
+    try:
+        return _assemble(n, np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp), k, z, L)
+    except (IndexOutOfRange, DuplicateEdge):
+        # a valid file never gets here: name the first edge line at fault
+        first = {}
+        for (lineno, _), e in zip(rows[2:], zip(us, vs)):
+            if not (0 <= e[0] and e[1] < n):
+                raise IndexOutOfRange(f"line {lineno}: edge {e} outside 0..{n - 1}") from None
+            if first.setdefault(e, lineno) != lineno:
+                raise DuplicateEdge(f"line {lineno}: edge {e} given twice") from None
+        raise
 
 
 # -- line systems ----------------------------------------------------------------

@@ -169,11 +169,10 @@ def _int_array(values, L: int) -> np.ndarray:
     return np.asarray(values, dtype=np.int64 if L < 2 ** 62 else object)
 
 
-def _exponents(angles: list[Optional[Fraction]]) -> tuple[np.ndarray, int]:
-    """Exponents mod L of the angles, -1 for None, and L, the lcm of their denominators."""
-    L = math.lcm(*{a.denominator for a in angles if a is not None})
-    return _int_array([-1 if a is None else a.numerator * (L // a.denominator)
-                       for a in angles], L), L
+def _exponents(rotations: list[Optional[tuple[int, int]]]) -> tuple[np.ndarray, int]:
+    """Exponents mod L of the rotations p/q in [0, 1), -1 for None, and L, the lcm of the q."""
+    L = math.lcm(*{r[1] for r in rotations if r is not None})
+    return _int_array([-1 if r is None else r[0] * (L // r[1]) for r in rotations], L), L
 
 
 def _rescale(k: np.ndarray, L: int, to: int) -> np.ndarray:
@@ -229,7 +228,8 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _encode(gains: list) -> tuple[np.ndarray, np.ndarray, int]:
     """(k, z, L) of a list of gains; a value that is not a Gain is read as Gain.numeric."""
     gains = [x if isinstance(x, Gain) else Gain.numeric(x) for x in gains]
-    k, L = _exponents([x.angle for x in gains])
+    k, L = _exponents([None if x.angle is None else (x.angle.numerator, x.angle.denominator)
+                       for x in gains])
     return k, np.array([x.value for x in gains], dtype=complex), L
 
 
@@ -408,12 +408,18 @@ def from_matrix(A: np.ndarray) -> GainGraph:
     bad = np.flatnonzero(edge & ~(np.abs(r - 1.0) <= 1e-6))
     if bad.size:
         raise NonUnitGain(f"entry ({u[bad[0]]},{v[bad[0]]}) has modulus {r[bad[0]]}")
-    w, r = w[edge], r[edge]
-    # Python's complex-by-real division, signed zeros included
+    return _unit_gains(n, u[edge], v[edge], w[edge])
+
+
+def _unit_gains(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> GainGraph:
+    """The numeric graph with gain w / |w| on each edge u < v, given in sorted order."""
+    # lines_to_gain's rounding, so that the catalog graphs read off Gram matrices
+    # keep their bits: numpy's scalar w / abs(w), which multiplies by 1 / hypot
+    scale = 1.0 / np.hypot(w.real, w.imag)
     z = np.empty(len(w), dtype=complex)
-    z.real = (w.real + w.imag * 0.0) / r
-    z.imag = (w.imag - w.real * 0.0) / r
-    return _graph(n, u[edge], v[edge], np.full(len(z), -1), z, 1)
+    z.real = (w.real + w.imag * 0.0) * scale
+    z.imag = (w.imag - w.real * 0.0) * scale
+    return _graph(n, u, v, np.full(len(z), -1), z, 1)
 
 
 # -- elementary operations ---------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     PartNotTight,
     UnknownName,
 )
-from .gains import ONE, SEARCH_BUDGET, Gain, GainGraph, _Budget, _check_unit, _graph, max_coclique
+from .gains import ONE, SEARCH_BUDGET, Gain, GainGraph, _Budget, _unit_gains, max_coclique
 from .spectral import TwoEvCertificate, _cluster, certify_two_ev
 
 _PHI = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
@@ -161,15 +161,7 @@ def lines_to_gain(system: LineSystem, alpha: float) -> GainGraph:
     G = system.gram()
     # read here, not through from_matrix, which would re-check that G is Hermitian
     us, vs = np.nonzero(np.triu(_angle_check(G, alpha) > 1e-8, 1))
-    w = G[us, vs]
-    # the bits of numpy's scalar w / abs(w): abs is hypot, and the division
-    # multiplies by 1 / |w|; numpy's array division rounds some gains differently
-    scale = 1.0 / np.hypot(w.real, w.imag)
-    z = np.empty(len(w), dtype=complex)
-    z.real = (w.real + w.imag * 0.0) * scale
-    z.imag = (w.imag - w.real * 0.0) * scale
-    _check_unit(z, 1e-9)
-    return _graph(system.count, us, vs, np.full(len(z), -1), z, 1)
+    return _unit_gains(system.count, us, vs, G[us, vs])
 
 
 # -- order bounds ----------------------------------------------------------------

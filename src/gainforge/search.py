@@ -20,7 +20,9 @@ one small matvec over the triangles and 4-cycles, one ``cos`` and two
 reductions per step, with no matrix.  That form cancels near zero, so it
 only ranks moves: "Converged" is decided on the matrix.  Any other
 objective is called on the gain matrix, written in place at each step;
-only ``objective_cospectral`` solves for eigenvalues.
+only ``objective_cospectral`` solves for eigenvalues.  One writer,
+``_writer``, puts a state's exp(i * angle) and its conjugate into the
+matrix, for the chain's scores and rescores and for ``refine_gains``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import LengthMismatch
-from .gains import (GainGraph, _bfs_tree, _check_unit, _graph, _roots, _sorted,
+from .gains import (GainGraph, _bfs_tree, _check_unit, _exponents, _graph, _roots, _sorted,
                     normalize_spanning_tree)
 from .spectral import TwoEvCertificate, certify_two_ev
 
@@ -163,6 +165,23 @@ def _graph_from_state(n: int, tree: list, free: list, angles: np.ndarray) -> Gai
     return _sorted(n, u, v, k, z, 1)
 
 
+def _writer(n: int, tree: list, free: list):
+    """write(angles): the state's gain matrix, one array rewritten at the free entries."""
+    A = _graph_from_state(n, tree, free, np.zeros(len(free))).matrix()
+    # flat positions of the free entries above and below the diagonal
+    flat = A.reshape(-1)
+    fu, fv = np.array(free, dtype=int).reshape(-1, 2).T
+    upper, lower = fu * n + fv, fv * n + fu
+
+    def write(angles: np.ndarray) -> np.ndarray:
+        Z = np.exp(1j * angles)
+        flat[upper] = Z
+        flat[lower] = Z.conj()
+        return A
+
+    return write
+
+
 def _seeded_start(m: int, seed: int):
     """The generator of the chain seeded with seed, and its first draw: m start angles."""
     rng = np.random.default_rng(seed)
@@ -248,24 +267,12 @@ def _scorer(n: int, tree: list, free: list, objective: Objective):
     on the state's gain matrix.  Every other objective is called on the
     gain matrix, written in place, and rescore returns f as it is.
     """
+    write = _writer(n, tree, free)
     if free and objective is objective_two_ev:
         score = _cycle_scorer(n, tree, free)
         if score is not None:
-            return score, lambda angles, f: objective_two_ev(
-                _graph_from_state(n, tree, free, angles).matrix())
-    A = _graph_from_state(n, tree, free, np.zeros(len(free))).matrix()
-    # flat positions of the free entries above and below the diagonal
-    flat = A.reshape(-1)
-    upper = np.array([u * n + v for u, v in free], dtype=int)
-    lower = np.array([v * n + u for u, v in free], dtype=int)
-
-    def score(angles: np.ndarray) -> float:
-        Z = np.exp(1j * angles)
-        flat[upper] = Z
-        flat[lower] = Z.conj()
-        return objective(A)
-
-    return score, lambda angles, f: f
+            return score, lambda angles, f: objective_two_ev(write(angles))
+    return lambda angles: objective(write(angles)), lambda angles, f: f
 
 
 def _anneal_chain(m: int, cfg: SearchConfig, score, rescore):
@@ -375,18 +382,15 @@ def refine_gains(g: GainGraph) -> GainGraph:
     if not free:            # a tree: there is nothing to move
         return g
     fu, fv = np.array(free).T
-    A = g.matrix()
+    write = _writer(g.n, tree, free)
     tol = (1e-13 * g.u.size) ** 2          # ||R|| <= 5e-14 ||A||^2, as ||A||^2 = 2 |E|
 
     def at(theta):
-        z = np.exp(1j * theta)
-        A[fu, fv] = z
-        A[fv, fu] = z.conj()
-        R, dR = _residual(A, fu, fv)
+        R, dR = _residual(write(theta), fu, fv)
         J = dR.reshape(len(dR), -1)
         return np.vdot(R, R).real, (J.conj() @ J.T).real, (J.conj() @ R.reshape(-1)).real
 
-    theta = np.angle(A[fu, fv])
+    theta = np.angle(g.matrix()[fu, fv])
     cost, H, grad = at(theta)
     lam, gain = 1e-3, math.inf
     for _ in range(200):
@@ -415,11 +419,11 @@ def snap_gains(g: GainGraph, Q: int = 24) -> Optional[tuple[GainGraph, TwoEvCert
     """
     if not Q >= 1:
         raise ValueError(f"snap order Q must be at least 1, got {Q}")
-    angles = []         # (p, q) per edge
+    rotations = []      # (p, q) per edge
     for j, z in zip(g.k.tolist(), g.z.tolist()):
         d = math.gcd(j, g.L)
         if j >= 0 and g.L // d <= Q:
-            angles.append((j // d, g.L // d))
+            rotations.append((j // d, g.L // d))
             continue
         turns = (math.atan2(z.imag, z.real) / (2 * math.pi)) % 1.0
         best = None
@@ -431,9 +435,8 @@ def snap_gains(g: GainGraph, Q: int = 24) -> Optional[tuple[GainGraph, TwoEvCert
         dist, p, q = best
         if not dist * 2 * math.pi <= 1e-3:
             return None
-        angles.append((p, q))
-    L = math.lcm(*(q for _, q in angles))
-    k = np.array([p * (L // q) for p, q in angles], dtype=np.int64)
+        rotations.append((p, q))
+    k, L = _exponents(rotations)
     snapped = _graph(g.n, g.u, g.v, k, _roots(k, L), L)
     cert = certify_two_ev(snapped, tol=1e-9)
     return None if cert is None else (snapped, cert)

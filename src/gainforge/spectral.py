@@ -126,20 +126,13 @@ def certify_two_ev(g: GainGraph, tol: float = 1e-9) -> Optional[TwoEvCertificate
 def predicted_thetas(n: int, m: int, k: int) -> tuple[float, float]:
     """The eigenvalues forced by (order, multiplicity, degree).
 
-    theta1 = sqrt(k(n-m)/m) with multiplicity m, theta2 = -sqrt(km/(n-m));
-    cross-checked against the quadratic-formula form.
+    theta1 = sqrt(k(n-m)/m) with multiplicity m, theta2 = -sqrt(km/(n-m)).
+    These closed forms lose no digits to cancellation, as the roots of
+    x^2 - (theta1 + theta2) x - k by the quadratic formula would.
     """
     if not (0 < m <= n / 2 and k > 0):      # NaN fails it
         raise InvalidParameters(f"need 0 < m <= n/2 and k > 0, got {(n, m, k)}")
-    t1 = math.sqrt(k * (n - m) / m)
-    t2 = -math.sqrt(k * m / (n - m))
-    a = t1 + t2
-    disc = math.sqrt(a * a + 4 * k)
-    alt1, alt2 = (a + disc) / 2, (a - disc) / 2
-    if abs(alt1 - t1) > 1e-12 * max(1.0, abs(t1)) or \
-       abs(alt2 - t2) > 1e-12 * max(1.0, abs(t2)):
-        raise InvalidParameters("quadratic-form cross-check failed")
-    return t1, t2
+    return math.sqrt(k * (n - m) / m), -math.sqrt(k * m / (n - m))
 
 
 # -- characteristic polynomial from elementary subgraphs ---------------------

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gainforge.errors import NonUnitGain, NormViolation, ParseError, SelfLoop
+from gainforge.errors import (DuplicateEdge, IndexOutOfRange, NonUnitGain, NormViolation,
+                              ParseError, SelfLoop)
 from gainforge.fileio import (
     parse_gaingraph,
     parse_lines,
@@ -85,6 +86,21 @@ def test_gaingraph_rejects_self_loops():
 def test_gaingraph_rejects_non_unit_numeric_gain():
     with pytest.raises(NonUnitGain):
         parse_gaingraph("gaingraph v1\nn 3\ne 0 1 num 0.5 0.0\n")
+
+
+@pytest.mark.parametrize("edges, error, complaint", [
+    ("e 0 1 rot 0/1\ne 0 5 rot 0/1\n", IndexOutOfRange, "line 4: edge (0, 5) outside 0..2"),
+    ("e -1 1 rot 0/1\n", IndexOutOfRange, "line 3: edge (-1, 1) outside 0..2"),
+    ("e 0 1 rot 0/1\ne 1 2 rot 0/1\ne 0 1 rot 1/2\n", DuplicateEdge,
+     "line 5: edge (0, 1) given twice"),
+    ("e 0 1 rot 0/1\ne 1 2 num 2 0\n", NonUnitGain, "line 4: |z| = 2.0 is not 1"),
+    # the first edge line at fault is named, whatever follows it
+    ("e 1 2 rot 0/1\ne 1 2 rot 0/1\ne 0 7 rot 0/1\n", DuplicateEdge, "line 4:"),
+])
+def test_edge_line_errors_name_their_line(edges, error, complaint):
+    with pytest.raises(error) as err:
+        parse_gaingraph("gaingraph v1\nn 3\n" + edges)
+    assert str(err.value).startswith(complaint)
 
 
 def test_numeric_gains_round_trip_bit_faithfully():

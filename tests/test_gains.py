@@ -208,6 +208,20 @@ def test_from_matrix_rejects_a_matrix_that_is_not_square():
             from_matrix(A)
 
 
+def test_from_matrix_gains_have_the_bits_of_numpy_scalar_division():
+    # entries on and off the unit circle, signed zeros included
+    rng = np.random.default_rng(5)
+    n = 14
+    U = np.exp(2j * math.pi * rng.random((n, n)))
+    U[::3] *= 1 + rng.uniform(-1e-7, 1e-7, (len(U[::3]), n))
+    U[0, 1:5] = [1, complex(-0.0, 1), complex(-1, -0.0), complex(0.6, 0.8)]
+    A = np.triu(U, 1) + np.triu(U, 1).conj().T
+    g = from_matrix(A)
+    reference = np.array([w / abs(w) for w in A[g.u, g.v]])
+    assert g.u.size == n * (n - 1) // 2
+    assert g.z.tobytes() == reference.tobytes()
+
+
 def test_from_matrix_reads_an_empty_matrix_as_the_empty_graph():
     g = from_matrix(np.zeros((0, 0), dtype=complex))
     assert g.n == 0 and g.gains == {} and g.is_exact

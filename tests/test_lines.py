@@ -151,6 +151,18 @@ def test_round_trip_recovers_the_gains():
     assert np.allclose(h.matrix(), g.matrix(), atol=1e-8)
 
 
+@pytest.mark.parametrize("name", ["SIC3", "MUB_C3(3)", "Witting"])
+def test_lines_to_gain_gains_have_the_bits_of_numpy_scalar_division(name):
+    g = catalog_entry(name).build()
+    cert = certify_two_ev(g)
+    system = gain_to_lines(g, cert)
+    h = lines_to_gain(system, alpha=-1.0 / cert.theta2)
+    G = system.gram()
+    reference = np.array([w / abs(w) for w in G[h.u, h.v]])
+    assert h.support() == g.support()
+    assert h.z.tobytes() == reference.tobytes()
+
+
 def test_gain_to_lines_rejects_non_two_ev():
     c4 = build(4, [(0, 1, ONE), (1, 2, ONE), (2, 3, ONE), (3, 0, ONE)])
     with pytest.raises(NotTwoEigenvalue):

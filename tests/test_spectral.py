@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gainforge.constructions import (
@@ -135,6 +135,20 @@ def test_predicted_thetas_trace_identity():
     t1, t2 = predicted_thetas(n, m, k)
     assert m * t1 + (n - m) * t2 == pytest.approx(0.0, abs=1e-9)
     assert m * t1 * t1 + (n - m) * t2 * t2 == pytest.approx(n * k)
+
+
+# large valid parameters, where the quadratic formula loses digits to cancellation
+@example((10**6, 1, 10**6))
+@example((10**9, 1, 2))
+@example((10**9, 2, 27))
+@given(st.integers(2, 10**9).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n // 2), st.integers(1, 10**9))))
+def test_predicted_thetas_satisfy_the_trace_identities(nmk):
+    n, m, k = nmk
+    t1, t2 = predicted_thetas(n, m, k)
+    assert m * t1 + (n - m) * t2 == pytest.approx(0.0, abs=1e-12 * m * t1)
+    assert m * t1 * t1 + (n - m) * t2 * t2 == pytest.approx(n * k, rel=1e-12)
+    assert t1 * t2 == pytest.approx(-k, rel=1e-12)
 
 
 def test_predicted_thetas_validates_inputs():
