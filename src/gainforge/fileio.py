@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DuplicateEdge, IndexOutOfRange, NonUnitGain, ParseError, SelfLoop
-from .gains import Gain, GainGraph, _assemble, _exact_values, _exponents
+from .gains import Gain, GainGraph, _assemble, _exact_values, _exponents, _unit_fault
 from .lines import LineSystem
 
 
@@ -107,8 +107,9 @@ def parse_gaingraph(text: str) -> GainGraph:
                 z = complex(float(tok[4]), float(tok[5]))
             except ValueError:
                 raise ParseError(lineno, "bad numeric gain components") from None
-            if not abs(abs(z) - 1.0) <= _UNIT_TOL:      # as Gain.numeric tests it
-                raise NonUnitGain(f"line {lineno}: |z| = {abs(z)!r} is not 1 within {_UNIT_TOL}")
+            fault = _unit_fault(z, _UNIT_TOL)
+            if fault:
+                raise NonUnitGain(f"line {lineno}: {fault}")
             rotations.append(None)
             values.append(z)
         else:

@@ -78,6 +78,12 @@ def _turn(a: Fraction) -> complex:
     return complex(math.cos(2 * math.pi * a), math.sin(2 * math.pi * a))
 
 
+def _unit_fault(z: complex, tol: float) -> Optional[str]:
+    """Why z is not a unit gain: None if |z| is 1 within tol, else the message.  NaN fails."""
+    r = abs(z)
+    return None if abs(r - 1.0) <= tol else f"|z| = {r!r} is not 1 within {tol}"
+
+
 class Gain:
     """A complex number of modulus one, exact or numeric.
 
@@ -104,8 +110,9 @@ class Gain:
     @classmethod
     def numeric(cls, z: complex, tol: float = 1e-12) -> "Gain":
         z = complex(z)
-        if not abs(abs(z) - 1.0) <= tol:      # NaN fails too
-            raise NonUnitGain(f"|z| = {abs(z)!r} is not 1 within {tol}")
+        fault = _unit_fault(z, tol)
+        if fault:
+            raise NonUnitGain(fault)
         return cls(None, z)
 
     @property
@@ -239,11 +246,11 @@ def _decode(k: np.ndarray, z: np.ndarray, L: int) -> list[Gain]:
 
 
 def _check_unit(z: np.ndarray, tol: float) -> None:
-    """Gain.numeric's modulus test on every entry; NaN fails it."""
+    """_unit_fault on every entry, raising NonUnitGain at the first that fails."""
     r = np.hypot(z.real, z.imag)            # the bits of Python's abs
     unit = np.abs(r - 1.0) <= tol
     if np.count_nonzero(unit) < len(unit):
-        raise NonUnitGain(f"|z| = {r[np.argmin(unit)].item()!r} is not 1 within {tol}")
+        raise NonUnitGain(_unit_fault(z[np.argmin(unit)].item(), tol))
 
 
 # -- the graph type ---------------------------------------------------------

@@ -179,8 +179,8 @@ class BoundsReport:
     coclique_ok: Optional[bool] = None
 
 
-def bounds_check(m: int, s: int, has_zero: bool,
-                 g: Optional[GainGraph] = None) -> BoundsReport:
+def bounds_check(m: int, s: int, has_zero: bool, g: Optional[GainGraph] = None,
+                 cert: Optional[TwoEvCertificate] = None) -> BoundsReport:
     """Absolute bound for an s-angle system in C^m, plus graph-side bounds.
 
     The absolute bound counts *distinct* lines, so parallel vectors
@@ -188,7 +188,8 @@ def bounds_check(m: int, s: int, has_zero: bool,
     on a single line and the bound holds trivially).  With a graph
     supplied, also computes m' (multiplicity of -km/(n-m) in the 0/1
     underlying adjacency) for the n <= m^2 + m' bound, and the coclique
-    bound (independent sets have at most m vertices).
+    bound (independent sets have at most m vertices).  cert, if given, is
+    the caller's ``certify_two_ev(g)``; without it the graph is certified here.
     """
     eps = 1 if has_zero else 0
     bound = comb(m + s - 1, m - 1) * comb(m + s - 1 - eps, m - 1)
@@ -196,7 +197,8 @@ def bounds_check(m: int, s: int, has_zero: bool,
     if g is None:
         return report
     report.n = g.n
-    cert = certify_two_ev(g)
+    if cert is None:
+        cert = certify_two_ev(g)
     if cert is not None:
         # |Gram| of the lines gain_to_lines would factor out of I - A/theta_min
         theta_min = -cert.theta1 if cert.negated else cert.theta2

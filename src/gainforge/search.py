@@ -23,6 +23,15 @@ objective is called on the gain matrix, written in place at each step;
 only ``objective_cospectral`` solves for eigenvalues.  One writer,
 ``_writer``, puts a state's exp(i * angle) and its conjugate into the
 matrix, for the chain's scores and rescores and for ``refine_gains``.
+
+The polish builds nothing it does not need.  ``refine_gains`` switches to
+the tree-normal form only when a tree gain is not the exact 1, which a
+state handed over by ``run_search`` always is; it writes each iterate's
+matrix with ``_writer`` and its derivatives into one buffer per solve.
+A state's graph (``_graph_from_state``) takes one sort of its u < v
+pairs.  ``snap_gains`` keeps exact gains of order at most Q, and finds the
+nearest root for the rest as array operations over the orders 1..Q, in
+blocks that keep its work arrays near 2 MB whatever Q is.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import LengthMismatch
-from .gains import (GainGraph, _bfs_tree, _check_unit, _exponents, _graph, _roots, _sorted,
+from .gains import (GainGraph, _bfs_tree, _check_unit, _exponents, _graph, _positions, _roots,
                     normalize_spanning_tree)
 from .spectral import TwoEvCertificate, certify_two_ev
 
@@ -161,15 +170,26 @@ def _graph_from_state(n: int, tree: list, free: list, angles: np.ndarray) -> Gai
         _check_unit(z, 1e-6)
     k = np.zeros(len(z), dtype=np.int64)
     k[len(tree):] = -1
+    # tree and free pairs are u < v already: only their order is left to set
     u, v = np.array(tree + free, dtype=np.intp).reshape(-1, 2).T
-    return _sorted(n, u, v, k, z, 1)
+    order = np.argsort(u * n + v)
+    return _graph(n, u[order], v[order], k[order], z[order], 1)
 
 
 def _writer(n: int, tree: list, free: list):
-    """write(angles): the state's gain matrix, one array rewritten at the free entries."""
-    A = _graph_from_state(n, tree, free, np.zeros(len(free))).matrix()
-    # flat positions of the free entries above and below the diagonal
+    """write(angles): the state's gain matrix, one array rewritten at the free entries.
+
+    The array holds what ``_graph_from_state(...).matrix()`` holds, bit for
+    bit: the tree's exact 1s above the diagonal and their conjugates 1 - 0j
+    below it, and each write puts exp(i * angle) and its conjugate at the
+    free entries.
+    """
+    A = np.zeros((n, n), dtype=complex)
     flat = A.reshape(-1)
+    tu, tv = np.array(tree, dtype=int).reshape(-1, 2).T
+    flat[tu * n + tv] = 1.0
+    flat[tv * n + tu] = complex(1.0, -0.0)
+    # flat positions of the free entries above and below the diagonal
     fu, fv = np.array(free, dtype=int).reshape(-1, 2).T
     upper, lower = fu * n + fv, fv * n + fu
 
@@ -349,20 +369,31 @@ def anneal(underlying: GainGraph, cfg: SearchConfig = SearchConfig(),
 
 # -- distillation -----------------------------------------------------------------
 
-def _residual(A: np.ndarray, fu: np.ndarray, fv: np.ndarray):
+def _derivative_buffer(n: int, fu: np.ndarray, fv: np.ndarray):
+    """A zero (m, n, n) array for dA/dθ_e, with the flat positions _residual writes.
+
+    Those are (e, fu_e, fv_e) and (e, fv_e, fu_e); every other entry stays
+    zero, so one buffer serves every iteration of a solve.
+    """
+    e = np.arange(len(fu)) * (n * n)
+    return np.zeros((len(fu), n, n), dtype=complex), e + fu * n + fv, e + fv * n + fu
+
+
+def _residual(A: np.ndarray, fu: np.ndarray, fv: np.ndarray, buffer=None):
     """R of _fit and its (m, n, n) derivatives in the angles of edges (fu, fv).
 
     A is a gain matrix: its diagonal is zero, so _fit takes it as it is.
     k = tr A^2 / n is constant on unit gains, so only a moves:
     dA/dθ_e = i z_e E_uv - i conj(z_e) E_vu, d tr A^3 = 3 tr(A^2 dA) and
-    dR = dA A + A dA - da A - a dA.
+    dR = dA A + A dA - da A - a dA.  buffer is a ``_derivative_buffer``
+    for A's order and these edges, made here if not given.
     """
-    n, m = len(A), len(fu)
     R, A2, a, tr2 = _fit(A)
+    dA, upper, lower = _derivative_buffer(len(A), fu, fv) if buffer is None else buffer
     z = A[fu, fv]
-    dA = np.zeros((m, n, n), dtype=complex)
-    dA[np.arange(m), fu, fv] = 1j * z
-    dA[np.arange(m), fv, fu] = -1j * z.conj()
+    flat = dA.reshape(-1)
+    flat[upper] = 1j * z
+    flat[lower] = -1j * z.conj()
     da = -6.0 * (z * A2[fv, fu]).imag / tr2
     return R, dA @ A + A @ dA - da[:, None, None] * A - a * dA
 
@@ -371,24 +402,31 @@ def refine_gains(g: GainGraph) -> GainGraph:
     """Levenberg–Marquardt solve for two eigenvalues over the non-tree angles.
 
     Switches g to its spanning-tree normal form (the tree the annealer
-    pins) and minimises ||R|| of _residual, one damped Gauss–Newton trial
-    step per iteration, for at most 200 iterations.  Stops earlier at a
-    residual of rounding size, or when a step gains under a millionth of
-    ||R||^2 or the damping passes 1e12.
+    pins), unless every tree gain is already the exact 1, and minimises
+    ||R|| of _residual, one damped Gauss–Newton trial step per iteration,
+    for at most 200 iterations.  Stops earlier at a residual of rounding
+    size, or when a step gains under a millionth of ||R||^2 or the damping
+    passes 1e12.
     Returns the tree-normal graph at the best angles.
     """
-    g, _ = normalize_spanning_tree(g)
     tree, free = _edge_layout(g)
+    # run_search's states carry the exact 1 on the tree already; the switch
+    # keeps the support, so the layout stands
+    if np.count_nonzero(g.k[_positions(g, tree)]):
+        g, _ = normalize_spanning_tree(g)
     if not free:            # a tree: there is nothing to move
         return g
     fu, fv = np.array(free).T
     write = _writer(g.n, tree, free)
+    buffer = _derivative_buffer(g.n, fu, fv)
+    eye = np.eye(len(free))
     tol = (1e-13 * g.u.size) ** 2          # ||R|| <= 5e-14 ||A||^2, as ||A||^2 = 2 |E|
 
     def at(theta):
-        R, dR = _residual(write(theta), fu, fv)
+        R, dR = _residual(write(theta), fu, fv, buffer)
         J = dR.reshape(len(dR), -1)
-        return np.vdot(R, R).real, (J.conj() @ J.T).real, (J.conj() @ R.reshape(-1)).real
+        Jc = J.conj()
+        return np.vdot(R, R).real, (Jc @ J.T).real, (Jc @ R.reshape(-1)).real
 
     theta = np.angle(g.matrix()[fu, fv])
     cost, H, grad = at(theta)
@@ -398,7 +436,7 @@ def refine_gains(g: GainGraph) -> GainGraph:
         # point with a nonzero residual: no solution nearby
         if cost <= tol or gain < 1e-6 * cost or lam > 1e12:
             break
-        trial = theta - np.linalg.solve(H + lam * np.eye(len(theta)), grad)
+        trial = theta - np.linalg.solve(H + lam * eye, grad)
         cost_t, H_t, grad_t = at(trial)
         if cost_t < cost:
             gain = cost - cost_t
@@ -407,6 +445,36 @@ def refine_gains(g: GainGraph) -> GainGraph:
         else:
             lam *= 10.0
     return _graph_from_state(g.n, tree, free, theta)
+
+
+# entries of snap_gains's (edges, orders) work arrays: it tries the orders
+# 1..Q in blocks of this many over the number of edges it snaps
+_SNAP_BLOCK = 1 << 18
+
+
+def _nearest_roots(turns: np.ndarray, Q: int):
+    """(dist, q) for each turn x: the q <= Q of the p/q nearest to x, and |x - p/q|.
+
+    p = round(x q), half to even; on a tie the first q wins.
+    """
+    dist = q = None
+    x = turns[:, None]
+    step = max(1, _SNAP_BLOCK // len(turns))
+    for first in range(1, Q + 1, step):
+        qs = np.arange(first, min(first + step, Q + 1))
+        d = x * qs                      # |x - round(x q) / q|, in place
+        np.rint(d, out=d)
+        np.divide(d, qs, out=d)
+        np.subtract(x, d, out=d)
+        np.abs(d, out=d)
+        near, q_near = d.min(axis=1), qs[d.argmin(axis=1)]
+        if dist is None:
+            dist, q = near, q_near
+        else:
+            better = near < dist        # strictly: an earlier block keeps a tie
+            dist = np.where(better, near, dist)
+            q = np.where(better, q_near, q)
+    return dist, q
 
 
 def snap_gains(g: GainGraph, Q: int = 24) -> Optional[tuple[GainGraph, TwoEvCertificate]]:
@@ -419,23 +487,22 @@ def snap_gains(g: GainGraph, Q: int = 24) -> Optional[tuple[GainGraph, TwoEvCert
     """
     if not Q >= 1:
         raise ValueError(f"snap order Q must be at least 1, got {Q}")
-    rotations = []      # (p, q) per edge
-    for j, z in zip(g.k.tolist(), g.z.tolist()):
+    rotations = []          # (p, q) per edge, None where it is still to be found
+    rest, turns = [], []    # those edges, and their angles in turns
+    for i, (j, z) in enumerate(zip(g.k.tolist(), g.z.tolist())):
         d = math.gcd(j, g.L)
         if j >= 0 and g.L // d <= Q:
             rotations.append((j // d, g.L // d))
-            continue
-        turns = (math.atan2(z.imag, z.real) / (2 * math.pi)) % 1.0
-        best = None
-        for q in range(1, Q + 1):
-            p = round(turns * q)
-            dist = abs(turns - p / q)
-            if best is None or dist < best[0]:
-                best = (dist, p % q, q)
-        dist, p, q = best
-        if not dist * 2 * math.pi <= 1e-3:
-            return None
-        rotations.append((p, q))
+        else:
+            rotations.append(None)
+            rest.append(i)
+            turns.append((math.atan2(z.imag, z.real) / (2 * math.pi)) % 1.0)
+    if rest:
+        dist, orders = _nearest_roots(np.array(turns), Q)
+        for i, x, d, q in zip(rest, turns, dist.tolist(), orders.tolist()):
+            if not d * 2 * math.pi <= 1e-3:
+                return None
+            rotations[i] = (round(x * q) % q, q)
     k, L = _exponents(rotations)
     snapped = _graph(g.n, g.u, g.v, k, _roots(k, L), L)
     cert = certify_two_ev(snapped, tol=1e-9)

@@ -103,6 +103,18 @@ def test_edge_line_errors_name_their_line(edges, error, complaint):
     assert str(err.value).startswith(complaint)
 
 
+@pytest.mark.parametrize("re, im", [("2", "0"), ("0.6", "0.8000001"), ("nan", "0"), ("0", "-inf")])
+def test_a_non_unit_line_fails_as_gain_numeric_does_at_1e_9(re, im):
+    with pytest.raises(NonUnitGain) as want:
+        Gain.numeric(complex(float(re), float(im)), tol=1e-9)
+    # a later faulty line does not displace the first
+    text = f"gaingraph v1\nn 3\ne 0 1 num {re} {im}\ne 1 2 num 0.5 0\n"
+    with pytest.raises(NonUnitGain) as got:
+        parse_gaingraph(text)
+    assert str(got.value) == f"line 3: {want.value}"
+    assert str(got.value).endswith("is not 1 within 1e-09")
+
+
 def test_numeric_gains_round_trip_bit_faithfully():
     z = complex(0.28734788556634544, 0.957829434341349)
     z /= abs(z)

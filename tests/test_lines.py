@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from gainforge import lines
 from gainforge.errors import (
     AngleViolation,
     BadParam,
@@ -30,7 +31,7 @@ from gainforge.lines import (
     lines_to_gain,
     tightness_check,
 )
-from gainforge.constructions import catalog_entry, complete, fixed_catalog
+from gainforge.constructions import catalog, catalog_entry, complete, fixed_catalog
 from gainforge.spectral import TwoEvCertificate, certify_two_ev
 
 ONE = Gain.exact(0, 1)
@@ -280,3 +281,19 @@ def test_rank_bound_attained_by_the_twelve_mub_lines():
     rep = bounds_check(cert.m, 2, True, g=g)
     assert rep.rank_bound == 12 and rep.rank_bound_ok
     assert g.n == rep.rank_bound
+
+
+def test_bounds_check_takes_the_callers_certificate(monkeypatch):
+    graphs = [entry.build(**{p: Gain.exact(1, 7) for p in entry.parameters})
+              for entry in catalog() if entry.order <= 40]
+    reports = []
+    for g in graphs:
+        cert = certify_two_ev(g)
+        reports.append((bounds_check(cert.m, 2, True, g=g), cert))
+
+    def certify(*args, **kwargs):
+        raise AssertionError("bounds_check certified a graph it was given the certificate of")
+
+    monkeypatch.setattr(lines, "certify_two_ev", certify)
+    for g, (report, cert) in zip(graphs, reports):
+        assert bounds_check(cert.m, 2, True, g=g, cert=cert) == report

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gainforge import search
+from gainforge import gains, search
 from gainforge.constructions import catalog, catalog_entry, complete, toral
 from gainforge.errors import Disconnected, LengthMismatch
 from gainforge.gains import Gain, build, normalize_spanning_tree, switch, switching_isomorphic
@@ -504,6 +506,69 @@ def test_residual_jacobian_matches_central_differences(name):
             assert np.max(np.abs(dR[e] - central)) < 1e-7
 
 
+# _graph_from_state as it was built, through gains._sorted's flip, conjugate
+# and sort; its pairs are u < v already, so only the sort does anything
+def _reference_graph_from_state(n, tree, free, angles):
+    z = np.ones(len(tree) + len(free), dtype=complex)
+    z[len(tree):] = np.exp(1j * np.asarray(angles, dtype=float))
+    k = np.zeros(len(z), dtype=np.int64)
+    k[len(tree):] = -1
+    u, v = np.array(tree + free, dtype=np.intp).reshape(-1, 2).T
+    return gains._sorted(n, u, v, k, z, 1)
+
+
+def _graph_bytes(g):
+    return g.n, g.L, [(a.dtype, a.tobytes()) for a in (g.u, g.v, g.k, g.z)]
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORTS) + ["path"])
+def test_a_states_graph_and_matrix_keep_their_bits(name):
+    support = SUPPORTS[name]() if name != "path" else build(3, [(0, 1, ONE), (1, 2, ONE)])
+    tree, free = search._edge_layout(support)
+    write = search._writer(support.n, tree, free)
+    rng = np.random.default_rng(12)
+    # signed zeros and the turns where a component is exactly zero or one
+    special = np.resize([0.0, -0.0, math.pi, -math.pi, math.pi / 2, 2 * math.pi], len(free))
+    for angles in [rng.uniform(-7.0, 7.0, len(free)) for _ in range(4)] + [special]:
+        g = search._graph_from_state(support.n, tree, free, angles)
+        want = _reference_graph_from_state(support.n, tree, free, angles)
+        assert _graph_bytes(g) == _graph_bytes(want)
+        # the writer rewrites one array: every write holds the matrix, -0.0 included
+        assert write(angles).tobytes() == g.matrix().tobytes()
+
+
+def test_refine_skips_the_switch_on_a_tree_normal_graph(monkeypatch):
+    normalize, calls = search.normalize_spanning_tree, []
+
+    def counted(g):
+        calls.append(1)
+        return normalize(g)
+
+    for name in ("C4", "cube", "octagon complement"):
+        support = SUPPORTS[name]()
+        tree, free = search._edge_layout(support)
+        for seed in range(3):
+            g = search._graph_from_state(support.n, tree, free,
+                                         search._seeded_start(len(free), seed)[1])
+            want = refine_gains(normalize_spanning_tree(g)[0])
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "normalize_spanning_tree", counted)
+                got = refine_gains(g)
+            assert calls == []
+            assert _graph_bytes(got) == _graph_bytes(want)
+    # a tree gain off the exact 1, numeric 1 included, is switched once
+    support = SUPPORTS["octahedron"]()
+    tree, free = search._edge_layout(support)
+    start = search._graph_from_state(support.n, tree, free,
+                                     search._seeded_start(len(free), 0)[1])
+    monkeypatch.setattr(search, "normalize_spanning_tree", counted)
+    for s in ([Gain.exact(v, 7) for v in range(6)], [Gain.numeric(1)] + [ONE] * 5):
+        refined = refine_gains(switch(start, s))
+        assert all(refined.gain(u, v) == ONE for u, v in tree)
+        assert objective_two_ev(refined.matrix()) < 1e-9
+    assert len(calls) == 2
+
+
 def test_refine_returns_the_tree_normal_graph():
     support = SUPPORTS["octahedron"]()
     tree, free = search._edge_layout(support)
@@ -737,3 +802,117 @@ def test_run_search_certifies_its_snapped_graph_once(monkeypatch):
     res = run_search(c4(), SearchConfig(seed=0, **QUICK))
     assert res.snapped is not None and res.snapped_cert is not None
     assert len(calls) == 1
+
+
+# snap_gains as it was written before its array form: per edge, every q in
+# turn, a strictly smaller distance replacing the best; the (p, q) of each
+# edge, or None where an edge lies too far from every root
+def _reference_snap(g, Q):
+    rotations = []
+    for j, z in zip(g.k.tolist(), g.z.tolist()):
+        d = math.gcd(j, g.L)
+        if j >= 0 and g.L // d <= Q:
+            rotations.append((j // d, g.L // d))
+            continue
+        turns = (math.atan2(z.imag, z.real) / (2 * math.pi)) % 1.0
+        best = None
+        for q in range(1, Q + 1):
+            p = round(turns * q)
+            dist = abs(turns - p / q)
+            if best is None or dist < best[0]:
+                best = (dist, p % q, q)
+        dist, p, q = best
+        if not dist * 2 * math.pi <= 1e-3:
+            return None
+        rotations.append((p, q))
+    return rotations
+
+
+def _assert_snaps_as_the_reference(g, Q):
+    """snap_gains's graph is the reference's, bit for bit, with certification stubbed out.
+
+    It is checked with the orders tried in one block and, as they are on
+    large graphs, in many blocks, so that ties across blocks are met too.
+    """
+    rotations = _reference_snap(g, Q)
+    want = None
+    if rotations is not None:
+        k, L = gains._exponents(rotations)
+        want = _graph_bytes(gains._graph(g.n, g.u, g.v, k, gains._roots(k, L), L))
+    for block in (search._SNAP_BLOCK, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "certify_two_ev", lambda h, tol: "certified")
+            patch.setattr(search, "_SNAP_BLOCK", block)
+            got = snap_gains(g, Q)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[1] == "certified" and _graph_bytes(got[0]) == want
+
+
+def _unit(turn):
+    return Gain.numeric(complex(math.cos(2 * math.pi * turn), math.sin(2 * math.pi * turn)))
+
+
+@st.composite
+def _snap_gain(draw, Q):
+    kind = draw(st.sampled_from(["exact", "near", "far", "tie"]))
+    if kind == "exact":             # orders up to and past Q
+        q = draw(st.integers(1, 3 * Q + 3))
+        return Gain.exact(draw(st.integers(0, q - 1)), q)
+    if kind == "far":
+        return _unit(draw(st.floats(0.0, 1.0, exclude_max=True)))
+    q = draw(st.integers(1, Q))
+    root = draw(st.integers(0, q - 1)) / q
+    if kind == "near":              # either side of the 1e-3 rad abort
+        return _unit(root + draw(st.floats(-4e-4, 4e-4)))
+    # halfway to a second root, give or take a few ulps
+    q2 = draw(st.integers(1, Q))
+    turn = (root + draw(st.integers(0, q2)) / q2) / 2
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        turn = float(np.nextafter(turn, math.copysign(1.0, ulps)))
+    return _unit(turn)
+
+
+@st.composite
+def _snap_case(draw):
+    Q = draw(st.sampled_from([1, 2, 24, 97]))
+    edges = itertools.combinations(range(5), 2)
+    values = draw(st.lists(_snap_gain(Q), min_size=1, max_size=10))
+    return build(5, [(u, v, x) for (u, v), x in zip(edges, values)]), Q
+
+
+@given(_snap_case())
+def test_snap_finds_the_roots_the_per_edge_loop_finds(case):
+    _assert_snaps_as_the_reference(*case)
+
+
+@pytest.mark.parametrize("radians, snaps", [(0.99e-3, True), (1.01e-3, False)])
+def test_snap_aborts_past_a_milliradian(radians, snaps):
+    g = build(3, [(0, 1, _unit(1 / 8 + radians / (2 * math.pi))), (1, 2, Gain.exact(1, 3))])
+    assert (_reference_snap(g, 24) is not None) == snaps
+    _assert_snaps_as_the_reference(g, 24)
+
+
+@pytest.mark.parametrize("Q", [1, 2, 24, 97])
+def test_snap_keeps_exponents_as_python_ints_past_two_to_the_62(Q):
+    # two large primes: L = 4294967291 * 4294967279 > 2**62
+    g = build(4, [(0, 1, Gain.exact(1, 4294967291)), (1, 2, Gain.exact(5, 4294967279)),
+                  (2, 3, Gain.exact(1, 2)), (0, 3, _unit(1 / 3 + 1e-5))])
+    assert g.k.dtype == object
+    _assert_snaps_as_the_reference(g, Q)
+
+
+def test_snap_at_a_large_order_keeps_its_work_arrays_small():
+    g = catalog_entry("CoxeterTodd3").build()        # 5,040 numeric gains
+    Q = 100_000
+    tracemalloc.start()
+    try:
+        snap = snap_gains(g, Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.u.size == 5040 and not g.is_exact
+    assert snap is not None and snap[0].is_exact and snap[1] is not None
+    # one (edges, Q) float array would take 5040 * 100,000 * 8 bytes, about 4 GB
+    assert peak < 64 * 2 ** 20
