@@ -107,9 +107,10 @@ def parse_gaingraph(text: str) -> GainGraph:
                 z = complex(float(tok[4]), float(tok[5]))
             except ValueError:
                 raise ParseError(lineno, "bad numeric gain components") from None
-            fault = _unit_fault(z, _UNIT_TOL)
-            if fault:
-                raise NonUnitGain(f"line {lineno}: {fault}")
+            # _unit_fault's test, written out: a call per line costs CoxeterTodd's
+            # 5,040 num lines about 3% of their parse
+            if not abs(abs(z) - 1.0) <= _UNIT_TOL:
+                raise NonUnitGain(f"line {lineno}: {_unit_fault(z, _UNIT_TOL)}")
             rotations.append(None)
             values.append(z)
         else:

@@ -556,11 +556,9 @@ def normalize_spanning_tree(g: GainGraph) -> tuple[GainGraph, SwitchingWitness]:
     tree = _bfs_tree(g)
     at = _positions(g, tree)
     s = [ONE] * g.n
-    # skipped when every tree gain is the exact 1, as on every refine_gains call from run_search
-    if np.count_nonzero(g.k[at]):
-        # x is the gain of min(u, v) -> max(u, v); s[v] = s[u] * conj(gain(u -> v))
-        for (u, v), x in zip(tree, _decode(g.k[at], g.z[at], g.L)):
-            s[v] = s[u] * (x.conj() if u < v else x)
+    # x is the gain of min(u, v) -> max(u, v); s[v] = s[u] * conj(gain(u -> v))
+    for (u, v), x in zip(tree, _decode(g.k[at], g.z[at], g.L)):
+        s[v] = s[u] * (x.conj() if u < v else x)
     k, z, L = _switched(g, s)
     # the switch leaves 1 on the tree up to rounding; write the exact 1
     k[at], z[at] = 0, ONE.value

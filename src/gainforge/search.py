@@ -29,9 +29,7 @@ the tree-normal form only when a tree gain is not the exact 1, which a
 state handed over by ``run_search`` always is; it writes each iterate's
 matrix with ``_writer`` and its derivatives into one buffer per solve.
 A state's graph (``_graph_from_state``) takes one sort of its u < v
-pairs.  ``snap_gains`` keeps exact gains of order at most Q, and finds the
-nearest root for the rest as array operations over the orders 1..Q, in
-blocks that keep its work arrays near 2 MB whatever Q is.
+pairs.
 """
 
 from __future__ import annotations
@@ -379,17 +377,17 @@ def _derivative_buffer(n: int, fu: np.ndarray, fv: np.ndarray):
     return np.zeros((len(fu), n, n), dtype=complex), e + fu * n + fv, e + fv * n + fu
 
 
-def _residual(A: np.ndarray, fu: np.ndarray, fv: np.ndarray, buffer=None):
+def _residual(A: np.ndarray, fu: np.ndarray, fv: np.ndarray, buffer: tuple):
     """R of _fit and its (m, n, n) derivatives in the angles of edges (fu, fv).
 
     A is a gain matrix: its diagonal is zero, so _fit takes it as it is.
     k = tr A^2 / n is constant on unit gains, so only a moves:
     dA/dθ_e = i z_e E_uv - i conj(z_e) E_vu, d tr A^3 = 3 tr(A^2 dA) and
     dR = dA A + A dA - da A - a dA.  buffer is a ``_derivative_buffer``
-    for A's order and these edges, made here if not given.
+    for A's order and these edges.
     """
     R, A2, a, tr2 = _fit(A)
-    dA, upper, lower = _derivative_buffer(len(A), fu, fv) if buffer is None else buffer
+    dA, upper, lower = buffer
     z = A[fu, fv]
     flat = dA.reshape(-1)
     flat[upper] = 1j * z
@@ -447,36 +445,6 @@ def refine_gains(g: GainGraph) -> GainGraph:
     return _graph_from_state(g.n, tree, free, theta)
 
 
-# entries of snap_gains's (edges, orders) work arrays: it tries the orders
-# 1..Q in blocks of this many over the number of edges it snaps
-_SNAP_BLOCK = 1 << 18
-
-
-def _nearest_roots(turns: np.ndarray, Q: int):
-    """(dist, q) for each turn x: the q <= Q of the p/q nearest to x, and |x - p/q|.
-
-    p = round(x q), half to even; on a tie the first q wins.
-    """
-    dist = q = None
-    x = turns[:, None]
-    step = max(1, _SNAP_BLOCK // len(turns))
-    for first in range(1, Q + 1, step):
-        qs = np.arange(first, min(first + step, Q + 1))
-        d = x * qs                      # |x - round(x q) / q|, in place
-        np.rint(d, out=d)
-        np.divide(d, qs, out=d)
-        np.subtract(x, d, out=d)
-        np.abs(d, out=d)
-        near, q_near = d.min(axis=1), qs[d.argmin(axis=1)]
-        if dist is None:
-            dist, q = near, q_near
-        else:
-            better = near < dist        # strictly: an earlier block keeps a tie
-            dist = np.where(better, near, dist)
-            q = np.where(better, q_near, q)
-    return dist, q
-
-
 def snap_gains(g: GainGraph, Q: int = 24) -> Optional[tuple[GainGraph, TwoEvCertificate]]:
     """Replace each gain by the nearest root of unity of order at most Q.
 
@@ -487,22 +455,23 @@ def snap_gains(g: GainGraph, Q: int = 24) -> Optional[tuple[GainGraph, TwoEvCert
     """
     if not Q >= 1:
         raise ValueError(f"snap order Q must be at least 1, got {Q}")
-    rotations = []          # (p, q) per edge, None where it is still to be found
-    rest, turns = [], []    # those edges, and their angles in turns
-    for i, (j, z) in enumerate(zip(g.k.tolist(), g.z.tolist())):
+    rotations = []      # (p, q) per edge
+    for j, z in zip(g.k.tolist(), g.z.tolist()):
         d = math.gcd(j, g.L)
         if j >= 0 and g.L // d <= Q:
             rotations.append((j // d, g.L // d))
-        else:
-            rotations.append(None)
-            rest.append(i)
-            turns.append((math.atan2(z.imag, z.real) / (2 * math.pi)) % 1.0)
-    if rest:
-        dist, orders = _nearest_roots(np.array(turns), Q)
-        for i, x, d, q in zip(rest, turns, dist.tolist(), orders.tolist()):
-            if not d * 2 * math.pi <= 1e-3:
-                return None
-            rotations[i] = (round(x * q) % q, q)
+            continue
+        turns = (math.atan2(z.imag, z.real) / (2 * math.pi)) % 1.0
+        best = None
+        for q in range(1, Q + 1):
+            p = round(turns * q)
+            dist = abs(turns - p / q)
+            if best is None or dist < best[0]:
+                best = (dist, p % q, q)
+        dist, p, q = best
+        if not dist * 2 * math.pi <= 1e-3:
+            return None
+        rotations.append((p, q))
     k, L = _exponents(rotations)
     snapped = _graph(g.n, g.u, g.v, k, _roots(k, L), L)
     cert = certify_two_ev(snapped, tol=1e-9)

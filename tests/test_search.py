@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -100,7 +98,7 @@ def test_objective_is_the_norm_of_the_local_solves_residual():
     for seed in range(3):
         _, angles = search._seeded_start(len(free), seed)
         A = search._graph_from_state(support.n, tree, free, angles).matrix()
-        R, _ = search._residual(A, fu, fv)
+        R, _ = search._residual(A, fu, fv, search._derivative_buffer(support.n, fu, fv))
         assert objective_two_ev(A) == pytest.approx(np.linalg.norm(R), rel=1e-14, abs=0)
 
 
@@ -494,7 +492,7 @@ def test_residual_jacobian_matches_central_differences(name):
 
     def residual(angles):
         A = search._graph_from_state(support.n, tree, free, angles).matrix()
-        return search._residual(A, fu, fv)
+        return search._residual(A, fu, fv, search._derivative_buffer(support.n, fu, fv))
 
     for _ in range(3):
         angles = rng.uniform(0.0, 2.0 * math.pi, size=len(free))
@@ -802,117 +800,3 @@ def test_run_search_certifies_its_snapped_graph_once(monkeypatch):
     res = run_search(c4(), SearchConfig(seed=0, **QUICK))
     assert res.snapped is not None and res.snapped_cert is not None
     assert len(calls) == 1
-
-
-# snap_gains as it was written before its array form: per edge, every q in
-# turn, a strictly smaller distance replacing the best; the (p, q) of each
-# edge, or None where an edge lies too far from every root
-def _reference_snap(g, Q):
-    rotations = []
-    for j, z in zip(g.k.tolist(), g.z.tolist()):
-        d = math.gcd(j, g.L)
-        if j >= 0 and g.L // d <= Q:
-            rotations.append((j // d, g.L // d))
-            continue
-        turns = (math.atan2(z.imag, z.real) / (2 * math.pi)) % 1.0
-        best = None
-        for q in range(1, Q + 1):
-            p = round(turns * q)
-            dist = abs(turns - p / q)
-            if best is None or dist < best[0]:
-                best = (dist, p % q, q)
-        dist, p, q = best
-        if not dist * 2 * math.pi <= 1e-3:
-            return None
-        rotations.append((p, q))
-    return rotations
-
-
-def _assert_snaps_as_the_reference(g, Q):
-    """snap_gains's graph is the reference's, bit for bit, with certification stubbed out.
-
-    It is checked with the orders tried in one block and, as they are on
-    large graphs, in many blocks, so that ties across blocks are met too.
-    """
-    rotations = _reference_snap(g, Q)
-    want = None
-    if rotations is not None:
-        k, L = gains._exponents(rotations)
-        want = _graph_bytes(gains._graph(g.n, g.u, g.v, k, gains._roots(k, L), L))
-    for block in (search._SNAP_BLOCK, 1):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(search, "certify_two_ev", lambda h, tol: "certified")
-            patch.setattr(search, "_SNAP_BLOCK", block)
-            got = snap_gains(g, Q)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got[1] == "certified" and _graph_bytes(got[0]) == want
-
-
-def _unit(turn):
-    return Gain.numeric(complex(math.cos(2 * math.pi * turn), math.sin(2 * math.pi * turn)))
-
-
-@st.composite
-def _snap_gain(draw, Q):
-    kind = draw(st.sampled_from(["exact", "near", "far", "tie"]))
-    if kind == "exact":             # orders up to and past Q
-        q = draw(st.integers(1, 3 * Q + 3))
-        return Gain.exact(draw(st.integers(0, q - 1)), q)
-    if kind == "far":
-        return _unit(draw(st.floats(0.0, 1.0, exclude_max=True)))
-    q = draw(st.integers(1, Q))
-    root = draw(st.integers(0, q - 1)) / q
-    if kind == "near":              # either side of the 1e-3 rad abort
-        return _unit(root + draw(st.floats(-4e-4, 4e-4)))
-    # halfway to a second root, give or take a few ulps
-    q2 = draw(st.integers(1, Q))
-    turn = (root + draw(st.integers(0, q2)) / q2) / 2
-    ulps = draw(st.integers(-3, 3))
-    for _ in range(abs(ulps)):
-        turn = float(np.nextafter(turn, math.copysign(1.0, ulps)))
-    return _unit(turn)
-
-
-@st.composite
-def _snap_case(draw):
-    Q = draw(st.sampled_from([1, 2, 24, 97]))
-    edges = itertools.combinations(range(5), 2)
-    values = draw(st.lists(_snap_gain(Q), min_size=1, max_size=10))
-    return build(5, [(u, v, x) for (u, v), x in zip(edges, values)]), Q
-
-
-@given(_snap_case())
-def test_snap_finds_the_roots_the_per_edge_loop_finds(case):
-    _assert_snaps_as_the_reference(*case)
-
-
-@pytest.mark.parametrize("radians, snaps", [(0.99e-3, True), (1.01e-3, False)])
-def test_snap_aborts_past_a_milliradian(radians, snaps):
-    g = build(3, [(0, 1, _unit(1 / 8 + radians / (2 * math.pi))), (1, 2, Gain.exact(1, 3))])
-    assert (_reference_snap(g, 24) is not None) == snaps
-    _assert_snaps_as_the_reference(g, 24)
-
-
-@pytest.mark.parametrize("Q", [1, 2, 24, 97])
-def test_snap_keeps_exponents_as_python_ints_past_two_to_the_62(Q):
-    # two large primes: L = 4294967291 * 4294967279 > 2**62
-    g = build(4, [(0, 1, Gain.exact(1, 4294967291)), (1, 2, Gain.exact(5, 4294967279)),
-                  (2, 3, Gain.exact(1, 2)), (0, 3, _unit(1 / 3 + 1e-5))])
-    assert g.k.dtype == object
-    _assert_snaps_as_the_reference(g, Q)
-
-
-def test_snap_at_a_large_order_keeps_its_work_arrays_small():
-    g = catalog_entry("CoxeterTodd3").build()        # 5,040 numeric gains
-    Q = 100_000
-    tracemalloc.start()
-    try:
-        snap = snap_gains(g, Q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert g.u.size == 5040 and not g.is_exact
-    assert snap is not None and snap[0].is_exact and snap[1] is not None
-    # one (edges, Q) float array would take 5040 * 100,000 * 8 bytes, about 4 GB
-    assert peak < 64 * 2 ** 20
