@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import lines
-from .cyclotomic import root_sum_is_zero
+from .cyclotomic import _vanishes
 from .errors import (
     BadParam,
     EmptyGraph,
@@ -35,7 +34,8 @@ from .errors import (
     NotSquareRootOfkI,
     UnknownName,
 )
-from .gains import Gain, GainGraph, ONE, MINUS_ONE, I_GAIN, build, from_matrix, is_connected
+from .gains import (Gain, GainGraph, ONE, MINUS_ONE, I_GAIN, _encode, build, from_matrix,
+                    is_connected)
 from .spectral import certify_two_ev
 
 PHI = Gain.exact(1, 3)      # primitive third root of unity
@@ -67,42 +67,42 @@ class WeighingMatrix:
         return all(e.is_exact for row in self.entries for e in row if e is not None)
 
 
-def _weighing_weight(entries: list[list[Entry]]) -> int:
-    """Validate WW* = kI and return k; exact whenever the entries allow."""
+def make_weighing(entries: list[list[Entry]]) -> WeighingMatrix:
+    """The weighing matrix of a square array of gains and zeros (None), validated:
+    one row and column weight k, and WW* = kI -- exactly (``cyclotomic._vanishes``)
+    when every entry is exact, else to 1e-9 in each entry."""
     n = len(entries)
-    weights = {sum(e is not None for e in row) for row in entries}
-    weights |= {sum(entries[i][j] is not None for i in range(n)) for j in range(n)}
+    if n == 0:
+        raise NotAWeighingMatrix("the array is empty")
+    if any(len(row) != n for row in entries):
+        raise NotAWeighingMatrix(f"need {n} rows of {n} entries: {[len(r) for r in entries]}")
+    if bad := [e for row in entries for e in row if e is not None and not isinstance(e, Gain)]:
+        raise NotAWeighingMatrix(f"entries must be Gains or None, not {bad[0]!r}")
+    present = np.array([[e is not None for e in row] for row in entries])
+    weights = set(present.sum(axis=0).tolist()) | set(present.sum(axis=1).tolist())
     if len(weights) != 1:
         raise NotAWeighingMatrix(f"row/column weights differ: {sorted(weights)}")
-    k = weights.pop()
-    all_exact = all(e.is_exact for row in entries for e in row if e is not None)
-    for i in range(n):
-        for j in range(n):
-            terms = [
-                (entries[i][h], entries[j][h])
-                for h in range(n)
-                if entries[i][h] is not None and entries[j][h] is not None
-            ]
-            if all_exact:
-                counts: dict[Fraction, int] = {}
-                for a, b in terms:
-                    ang = (a.angle - b.angle) % 1  # type: ignore[operator]
-                    counts[ang] = counts.get(ang, 0) + 1
-                if i == j:
-                    counts[Fraction(0)] = counts.get(Fraction(0), 0) - k
-                if not root_sum_is_zero(counts):
-                    raise NotAWeighingMatrix(f"(WW*)[{i}][{j}] is off")
-            else:
-                s = sum(a.value * b.value.conjugate() for a, b in terms)
-                target = k if i == j else 0.0
-                if abs(s - target) > 1e-9:
-                    raise NotAWeighingMatrix(f"(WW*)[{i}][{j}] = {s}")
-    return k
-
-
-def make_weighing(entries: list[list[Entry]]) -> WeighingMatrix:
-    """The weighing matrix of a square array of gains and zeros (None), validated."""
-    return WeighingMatrix(len(entries), entries, _weighing_weight(entries))
+    W = WeighingMatrix(n, entries, weights.pop())
+    exponents, _, L = _encode([e for row in entries for e in row if e is not None])
+    if (exponents >= 0).all():      # no numeric gain (-1)
+        K = np.zeros((n, n), dtype=exponents.dtype)     # exponents mod L
+        K[present] = exponents
+        # (WW*)[i][i] is k terms 1; (WW*)[i][j] for i < j sums zeta_L^(K[i,h] - K[j,h])
+        # over the columns h both rows use, and (WW*)[j][i], its conjugate, comes later
+        i, j, h = np.nonzero(present[:, None] & present[None, :])
+        up = i < j
+        d = ((K[i, h] - K[j, h])[up] % L).tolist()
+        cuts = np.searchsorted(i[up] * n + j[up], np.arange(n * n + 1)).tolist()
+        ok = _vanishes(d, [1] * len(d), L, cuts)     # one sum per (i, j), row-major
+        if not all(ok):
+            raise NotAWeighingMatrix("(WW*)[{}][{}] is off".format(*divmod(ok.index(False), n)))
+    else:
+        A = W.matrix()
+        S = A @ A.conj().T
+        off = np.flatnonzero(np.abs(S - W.weight * np.eye(n)) > 1e-9)
+        if len(off):
+            raise NotAWeighingMatrix("(WW*)[{}][{}] = {}".format(*divmod(off[0], n), S.flat[off[0]]))
+    return W
 
 
 def cm_weighing(first_row: list[Entry]) -> WeighingMatrix:
@@ -195,6 +195,8 @@ def ig(W: WeighingMatrix) -> GainGraph:
 def double(g: GainGraph, kind: str) -> GainGraph:
     """Grow a gain graph whose matrix W squares to kI: ND -> +-sqrt(k+1),
     SD -> +-sqrt(2k), SDstar -> +-sqrt(2k+1)."""
+    if kind not in ("ND", "SD", "SDstar"):
+        raise UnknownName(f"kind must be ND, SD or SDstar, not {kind!r}")
     if g.n == 0:
         raise EmptyGraph("cannot double a graph with no vertices")
     A = g.matrix()
@@ -212,8 +214,6 @@ def double(g: GainGraph, kind: str) -> GainGraph:
         edges += [(u, n + u, ONE) for u in range(n)]
     elif kind == "SDstar":
         edges += [(u, n + u, I_GAIN) for u in range(n)]
-    elif kind != "SD":
-        raise UnknownName(f"kind must be ND, SD or SDstar, not {kind!r}")
     return build(2 * n, edges)
 
 

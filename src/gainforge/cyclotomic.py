@@ -4,12 +4,10 @@ A sum  sum_j c_j * zeta_L^j  with integer coefficients vanishes exactly
 when the polynomial  sum c_j x^j  is divisible by the L-th cyclotomic
 polynomial Phi_L.  Since Phi_L is monic with integer coefficients, the
 divisibility test is exact integer polynomial division -- no floating
-point anywhere.  This is all that is needed to verify WW* = kI with
-residual literally zero for weighing matrices whose entries are exact
-roots of unity.  One long division by a monic polynomial,
-``_poly_divmod``, serves both uses: Phi_L is x^L - 1 divided by Phi_d
-for each proper divisor d of L, each remainder zero, and a sum vanishes
-when its remainder modulo Phi_L is zero.
+point anywhere.  ``_poly_divmod``, long division by a monic polynomial,
+builds Phi_L as x^L - 1 divided by Phi_d for each proper divisor d of L,
+and serves ``_vanishes``, the one vanishing rule: the weighing check
+applies it to WW*, and ``root_sum_is_zero`` is its ``Fraction`` front end.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ from functools import lru_cache
 @lru_cache(maxsize=None)
 def cyclotomic_poly(L: int) -> tuple[int, ...]:
     """Coefficients of Phi_L, lowest degree first."""
-    if L == 1:
-        return (-1, 1)
     # divide x^L - 1 by Phi_d for every proper divisor d of L
     poly = [-1] + [0] * (L - 1) + [1]
     for d in range(1, L):
@@ -47,17 +43,23 @@ def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[
     return quo, rem[:deg]
 
 
-def root_sum_is_zero(terms: dict[Fraction, int]) -> bool:
-    """Whether sum over (angle -> coefficient) of coeff * e^(2*pi*i*angle) is 0.
+def _vanishes(r: list[int], c: list[int], L: int, cuts: list[int]) -> list[bool]:
+    """Whether each sum of c[t] * zeta_L^r[t] over t in cuts[s]:cuts[s + 1] is 0.  With
+    g = gcd(L, its exponents), a sum vanishes when its coefficients at r/g leave no
+    remainder modulo Phi_(L/g); no vector longer than L/g is built."""
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        g = math.gcd(L, *r[lo:hi])
+        coeffs = [0] * (L // g)
+        for x, y in zip(r[lo:hi], c[lo:hi]):
+            coeffs[x // g] += y
+        out.append(not any(_poly_divmod(coeffs, cyclotomic_poly(L // g))[1]))
+    return out
 
-    Angles are rational turns.  Exact: the remainder of the coefficient
-    vector modulo Phi_L, for L the common denominator, is zero.
-    """
+
+def root_sum_is_zero(terms: dict[Fraction, int]) -> bool:
+    """Whether sum over (angle -> coefficient) of coeff * e^(2*pi*i*angle) is 0, for
+    rational turns: exactly, by ``_vanishes`` over their common denominator."""
     terms = [(a % 1, c) for a, c in terms.items() if c]
-    if not terms:
-        return True
     L = math.lcm(*(a.denominator for a, _ in terms))
-    coeffs = [0] * L
-    for a, c in terms:     # angles equal mod 1 add up here
-        coeffs[int(a * L)] += c
-    return not any(_poly_divmod(coeffs, cyclotomic_poly(L))[1])
+    return _vanishes([int(a * L) for a, _ in terms], [c for _, c in terms], L, [0, len(terms)])[0]

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gainforge.constructions import (
     CatalogEntry,
@@ -29,6 +32,7 @@ from gainforge.constructions import (
     renes,
     toral,
 )
+from gainforge.cyclotomic import root_sum_is_zero
 from gainforge.errors import (
     BadParam,
     Disconnected,
@@ -85,6 +89,149 @@ def test_make_weighing_rejects_unbalanced_rows():
         make_weighing(rows)
 
 
+def test_make_weighing_rejects_short_rows():
+    with pytest.raises(NotAWeighingMatrix, match="2 rows of 2 entries"):
+        make_weighing([[ONE], [ONE]])
+
+
+def test_make_weighing_rejects_ragged_rows():
+    # the first two entries of each row would pass as a weight-2 matrix
+    with pytest.raises(NotAWeighingMatrix, match="2 rows of 2 entries"):
+        make_weighing([[ONE, MINUS, None], [ONE, ONE]])
+
+
+def test_make_weighing_rejects_the_empty_array():
+    for make in (lambda: make_weighing([]), lambda: cm_weighing([])):
+        with pytest.raises(NotAWeighingMatrix, match="empty"):
+            make()
+
+
+def test_make_weighing_rejects_entries_that_are_not_gains():
+    with pytest.raises(NotAWeighingMatrix, match="not 1j"):
+        make_weighing([[1j, None], [None, 1j]])
+
+
+def _reference_weight(entries):
+    """The weighing check entry by entry, in row-major order: ("weight", k),
+    ("weights", the differing weights) or ("off", i, j)."""
+    n = len(entries)
+    weights = {sum(e is not None for e in row) for row in entries}
+    weights |= {sum(entries[i][j] is not None for i in range(n)) for j in range(n)}
+    if len(weights) != 1:
+        return ("weights", sorted(weights))
+    k = weights.pop()
+    exact = all(e.is_exact for row in entries for e in row if e is not None)
+    for i in range(n):
+        for j in range(n):
+            terms = [(a, b) for a, b in zip(entries[i], entries[j])
+                     if a is not None and b is not None]
+            if exact:
+                counts = {}
+                for a, b in terms:
+                    turn = (a.angle - b.angle) % 1
+                    counts[turn] = counts.get(turn, 0) + 1
+                if i == j:
+                    counts[Fraction(0)] = counts.get(Fraction(0), 0) - k
+                off = not root_sum_is_zero(counts)
+            else:
+                s = sum(a.value * b.value.conjugate() for a, b in terms)
+                off = abs(s - (k if i == j else 0.0)) > 1e-9
+            if off:
+                return ("off", i, j)
+    return ("weight", k)
+
+
+ORDER_24 = st.builds(Gain.exact, st.integers(0, 23), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
+ENTRY = st.one_of(st.none(), ORDER_24)
+
+
+@st.composite
+def square_arrays(draw):
+    """Square arrays of order <= 6: random ones, random gains on a circulant
+    support, and Fourier or named weighing matrices moved by permutations and
+    unit diagonals, one entry sometimes replaced; exact or numeric."""
+    source = draw(st.sampled_from(["random", "circulant", "fourier", "named"]))
+    if source == "named":
+        rows = named_weighing(*draw(st.sampled_from([
+            ("W2",), ("W3",), ("W4",), ("W5",), ("Z", Gain.exact(1, 8)), ("Z", Gain.exact(1, 4)),
+        ]))).entries
+    else:
+        n = draw(st.integers(1, 6))
+        if source == "random":
+            rows = [[draw(ENTRY) for _ in range(n)] for _ in range(n)]
+        elif source == "circulant":
+            mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            rows = [[draw(ORDER_24) if mask[(j - i) % n] else None for j in range(n)]
+                    for i in range(n)]
+        else:
+            rows = [[Gain.exact(i * j, n) for j in range(n)] for i in range(n)]
+    n = len(rows)
+    if source in ("fourier", "named"):
+        p = draw(st.permutations(range(n)))
+        q = draw(st.permutations(range(n)))
+        r = draw(st.lists(ORDER_24, min_size=n, max_size=n))
+        c = draw(st.lists(ORDER_24, min_size=n, max_size=n))
+        rows = [[None if rows[p[i]][q[j]] is None else r[i] * rows[p[i]][q[j]] * c[j]
+                 for j in range(n)] for i in range(n)]
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(ENTRY)
+    numeric = draw(st.sampled_from(["none", "one", "all"]))
+    if numeric != "none":
+        cells = [(i, j) for i in range(n) for j in range(n) if rows[i][j] is not None]
+        if numeric == "one" and cells:
+            cells = [draw(st.sampled_from(cells))]
+        for i, j in cells:
+            rows[i][j] = Gain.numeric(rows[i][j].value)
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_arrays())
+def test_make_weighing_agrees_with_the_entry_by_entry_rule(rows):
+    expected = _reference_weight(rows)
+    if expected[0] == "weight":
+        assert make_weighing(rows).weight == expected[1]
+        return
+    with pytest.raises(NotAWeighingMatrix) as err:
+        make_weighing(rows)
+    if expected[0] == "weights":
+        assert str(err.value) == f"row/column weights differ: {expected[1]}"
+    else:
+        assert str(err.value).startswith(f"(WW*)[{expected[1]}][{expected[2]}] ")
+
+
+def test_weighing_check_is_exact_at_a_large_order():
+    x = Gain.exact(1, 997)
+    W = named_weighing("Z", x)
+    assert W.weight == 5 and W.is_exact
+    rows = [list(row) for row in W.entries]
+    rows[2][2] = x * x      # (WW*)[0][2] moves by x(x - 1), about 0.006 in modulus
+    assert _reference_weight(rows) == ("off", 0, 2)
+    with pytest.raises(NotAWeighingMatrix, match=r"\(WW\*\)\[0\]\[2\] is off"):
+        make_weighing(rows)
+
+
+def test_weighing_check_is_cheap_when_only_the_whole_array_has_a_large_order():
+    # L, the lcm over the whole array, is 1e8 to 4e12 or past 2**62 below, but each
+    # entry of WW* is a sum of roots of unity of order at most 4
+    p, q, r = Gain.exact(1, 10007), Gain.exact(1, 10009), Gain.exact(1, 10037)
+    W2, W4 = (named_weighing(name).entries for name in ("W2", "W4"))
+    big, bigger = Gain.exact(1, 2 ** 32 - 1), Gain.exact(1, 2 ** 32 + 1)
+    accepted = [
+        [[p, None, None], [None, q, None], [None, None, r]],
+        [[e * c for e, c in zip(row, (p, q))] for row in W2],
+        [[None if e is None else e * c for e, c in zip(row, (p, q, r, p))] for row in W4],
+        [[big, None], [None, bigger]],
+        [[big, None], [None, Gain.numeric(1)]],
+    ]
+    for rows in accepted:
+        assert make_weighing(rows).weight == _reference_weight(rows)[1]
+    rows = [[p, q], [p, q]]        # (WW*)[0][1] = 2
+    assert _reference_weight(rows) == ("off", 0, 1)
+    with pytest.raises(NotAWeighingMatrix, match=r"\(WW\*\)\[0\]\[1\] is off"):
+        make_weighing(rows)
+
+
 def test_cm_weighing_builds_circulant():
     # a circulant weight-4 matrix of order 7
     W = cm_weighing([None, None, ONE, None, ONE, ONE, MINUS])
@@ -138,6 +285,13 @@ def test_double_rejects_non_root():
     g = build(3, [(0, 1, ONE), (1, 2, ONE)])
     with pytest.raises(NotSquareRootOfkI):
         double(g, "ND")
+
+
+def test_double_checks_its_kind_first():
+    path = build(3, [(0, 1, ONE), (1, 2, ONE)])
+    for g in (path, GainGraph(0), ig(named_weighing("W2"))):
+        with pytest.raises(UnknownName, match="'XX'"):
+            double(g, "XX")
 
 
 def test_double_rejects_the_empty_graph():
