@@ -359,7 +359,7 @@ def _graph(n: int, u: np.ndarray, v: np.ndarray, k: np.ndarray, z: np.ndarray,
 def _assemble(n: int, u: np.ndarray, v: np.ndarray, k: np.ndarray, z: np.ndarray,
               L: int) -> GainGraph:
     """The graph of the oriented edges u -> v with gains (k, z), checked as build checks."""
-    bad = np.flatnonzero(~((0 <= u) & (u < n) & (0 <= v) & (v < n)) | (u == v))
+    bad = np.flatnonzero((np.minimum(u, v) < 0) | (np.maximum(u, v) >= n) | (u == v))
     if bad.size:
         a, b = u[bad[0]].item(), v[bad[0]].item()
         if not (0 <= a < n and 0 <= b < n):
@@ -376,10 +376,11 @@ def _sorted(n: int, u: np.ndarray, v: np.ndarray, k: np.ndarray, z: np.ndarray,
             L: int) -> GainGraph:
     """The graph of the oriented edges u -> v, u != v, with gains (k, z)."""
     flip = u > v
-    k, z = k.copy(), z.copy()
-    k[flip], z[flip] = _conj(k[flip], z[flip], L)
-    u, v = np.minimum(u, v), np.maximum(u, v)
-    order = np.argsort(u * n + v)
+    if flip.any():
+        k, z = k.copy(), z.copy()
+        k[flip], z[flip] = _conj(k[flip], z[flip], L)
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((v, u))
     return _graph(n, u[order], v[order], k[order], z[order], L)
 
 

@@ -170,7 +170,7 @@ def _graph_from_state(n: int, tree: list, free: list, angles: np.ndarray) -> Gai
     k[len(tree):] = -1
     # tree and free pairs are u < v already: only their order is left to set
     u, v = np.array(tree + free, dtype=np.intp).reshape(-1, 2).T
-    order = np.argsort(u * n + v)
+    order = np.lexsort((v, u))
     return _graph(n, u[order], v[order], k[order], z[order], 1)
 
 

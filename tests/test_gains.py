@@ -149,6 +149,17 @@ def test_build_rejects_duplicate():
 def test_build_rejects_bad_index():
     with pytest.raises(IndexOutOfRange):
         build(3, [(0, 5, ONE)])
+    with pytest.raises(IndexOutOfRange):
+        build(2 ** 70, [(-1, 2, ONE)])
+
+
+def test_build_orders_edges_past_the_int64_range_of_u_times_n():
+    # at n = 2**40, u * n + v wraps int64 and puts (2**24, 2**25) on (0, 2**25)
+    n, a, b = 2 ** 40, 2 ** 24, 2 ** 25
+    with pytest.raises(DuplicateEdge, match=rf"\(0, {b}\) given twice"):
+        build(n, [(0, b, ONE), (a, b, Gain.exact(1, 2)), (0, b, I_G)])
+    g = build(n, [(a, b, ONE), (0, b, I_G), (0, a, ONE)])
+    assert list(g.gains) == [(0, a), (0, b), (a, b)]
 
 
 def test_gain_is_conjugated_against_orientation():
