@@ -1,60 +1,50 @@
 """Exact zero tests for integer combinations of roots of unity.
 
-A sum  sum_j c_j * zeta_L^j  with integer coefficients vanishes exactly
-when the polynomial  sum c_j x^j  is divisible by the L-th cyclotomic
-polynomial Phi_L.  Since Phi_L is monic with integer coefficients, the
-divisibility test is exact integer polynomial division -- no floating
-point anywhere.  ``_poly_divmod``, long division by a monic polynomial,
-builds Phi_L as x^L - 1 divided by Phi_d for each proper divisor d of L,
-and serves ``_vanishes``, the one vanishing rule: the weighing check
-applies it to WW*, and ``root_sum_is_zero`` is its ``Fraction`` front end.
+The relations among the L-th roots of unity are generated by rotated regular
+p-gons, p a prime dividing L (de Bruijn, 1953; Lam and Leung, J. Algebra 2000),
+so whether  sum_r c_r zeta_L^r  is 0 is decided on integers, by one rule.  With
+p the smallest prime factor of L and M = L/p, split the terms by r mod p.  If
+p^2 divides L, zeta_L has degree p over Q(zeta_M), so each class, read at the
+exponents r div p, must vanish at order M.  If p divides L once, zeta_L^r is
+zeta_p^(r mod p) times a power of zeta_M, and the only relation among the
+zeta_p^a over Q(zeta_M) is their sum, so the classes, read at the exponents
+r mod M, must all be equal.  At L = 1 the coefficients must sum to 0.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_poly(L: int) -> tuple[int, ...]:
-    """Coefficients of Phi_L, lowest degree first."""
-    # divide x^L - 1 by Phi_d for every proper divisor d of L
-    poly = [-1] + [0] * (L - 1) + [1]
-    for d in range(1, L):
-        if L % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_poly(d))
-            assert not any(rem), "inexact polynomial division"
-    return tuple(poly)
-
-
-def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials, den monic; lowest degree first."""
-    rem = list(num)
-    deg = len(den) - 1
-    quo = [0] * max(len(num) - deg, 0)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + deg]
-        quo[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                rem[i + j] -= c * dj
-    return quo, rem[:deg]
+def _zero(r: list[int], c: list[int], L: int) -> bool:
+    """Whether the sum of c[t] * zeta_L^r[t] over t is 0."""
+    g = math.gcd(L, *r)
+    if g == L:
+        return sum(c) == 0
+    L //= g
+    p = 2
+    while L % p:
+        p = p + 1 if p * p < L else L       # no factor up to sqrt(L): L is prime
+    M = L // p
+    once = M % p != 0
+    # r mod M is the power of zeta_M up to zeta_M -> zeta_M^p, which keeps zero
+    classes: dict[int, dict[int, int]] = {}
+    for x, y in zip(r, c):
+        x //= g
+        Y, b = classes.setdefault(x % p, {}), x % M if once else x // p
+        Y[b] = Y.get(b, 0) + y
+    if once and len(classes) == p:      # else each class is 0: p^2 | L, or one is missing
+        Y0 = classes.pop(0)
+        for Y in classes.values():
+            for b, y in Y0.items():
+                Y[b] = Y.get(b, 0) - y
+    return all(_zero(list(Y), list(Y.values()), M) for Y in classes.values())
 
 
 def _vanishes(r: list[int], c: list[int], L: int, cuts: list[int]) -> list[bool]:
-    """Whether each sum of c[t] * zeta_L^r[t] over t in cuts[s]:cuts[s + 1] is 0.  With
-    g = gcd(L, its exponents), a sum vanishes when its coefficients at r/g leave no
-    remainder modulo Phi_(L/g); no vector longer than L/g is built."""
-    out = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        g = math.gcd(L, *r[lo:hi])
-        coeffs = [0] * (L // g)
-        for x, y in zip(r[lo:hi], c[lo:hi]):
-            coeffs[x // g] += y
-        out.append(not any(_poly_divmod(coeffs, cyclotomic_poly(L // g))[1]))
-    return out
+    """Whether each sum of c[t] * zeta_L^r[t], 0 <= r[t] < L, over cuts[s]:cuts[s + 1] is 0."""
+    return [_zero(r[lo:hi], c[lo:hi], L) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def root_sum_is_zero(terms: dict[Fraction, int]) -> bool:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import (DuplicateEdge, GainForgeError, IndexOutOfRange, NonUnitGain, ParseError,
                      SelfLoop)
-from .gains import Gain, GainGraph, _assemble, _exact, _exact_values, _exponents, _unit_fault
+from .gains import (Gain, GainGraph, _INTP_END, _assemble, _exact, _exact_values, _exponents,
+                    _unit_fault)
 from .lines import LineSystem
 
 
@@ -39,7 +40,7 @@ def _attempt(rule, *args):
     """rule(*args), or None where it raises: the caller runs the rule again where it counts."""
     try:
         return rule(*args)
-    except (ValueError, ArithmeticError, GainForgeError):   # abs() of a huge z overflows
+    except (ValueError, GainForgeError):
         return None
 
 
@@ -143,15 +144,16 @@ def parse_gaingraph(text: str) -> GainGraph:
             _edge(*line)        # raises at the first line that breaks the rule
     k, L = _exponents([x[2] for x in gains])
     z = _exact_values(k, np.array([x[3] for x in gains], dtype=complex), L, k >= 0)
-    u, v = np.array(order, dtype=np.intp)[ranks].reshape(2, -1)
     try:
+        u, v = np.array(order, dtype=np.intp)[ranks].reshape(2, -1)
         return _assemble(n, u, v, k[at], z[at], L)
-    except (IndexOutOfRange, DuplicateEdge):
+    except (IndexOutOfRange, DuplicateEdge, OverflowError):
         # a valid file never gets here: name the first edge line at fault
-        first = {}
+        first, end = {}, min(n, _INTP_END)
+        u, v = np.array(order, dtype=object)[ranks].reshape(2, -1)
         for (lineno, _), e in zip(lines, zip(u.tolist(), v.tolist())):
-            if not (0 <= e[0] and e[1] < n):
-                raise IndexOutOfRange(f"line {lineno}: edge {e} outside 0..{n - 1}") from None
+            if not (0 <= e[0] and e[1] < end):
+                raise IndexOutOfRange(f"line {lineno}: edge {e} outside 0..{end - 1}") from None
             if first.setdefault(e, lineno) != lineno:
                 raise DuplicateEdge(f"line {lineno}: edge {e} given twice") from None
         raise

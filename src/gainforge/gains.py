@@ -61,6 +61,7 @@ from .errors import (
 )
 
 NUMERIC_EQ_TOL = 1e-9
+_INTP_END = int(np.iinfo(np.intp).max) + 1     # vertex ids index intp arrays, so are below
 # node expansions a budgeted search may spend before it raises Timeout
 SEARCH_BUDGET = 10_000_000
 
@@ -80,7 +81,10 @@ def _turn(a: Fraction) -> complex:
 
 def _unit_fault(z: complex, tol: float) -> Optional[str]:
     """Why z is not a unit gain: None if |z| is 1 within tol, else the message.  NaN fails."""
-    r = abs(z)
+    try:
+        r = abs(z)
+    except OverflowError:       # |z| is past the largest float
+        r = math.inf
     return None if abs(r - 1.0) <= tol else f"|z| = {r!r} is not 1 within {tol}"
 
 
@@ -391,7 +395,10 @@ def build(n: int, edges: list[tuple[int, int, Gain]]) -> GainGraph:
     direction gets conj(g).  Vertices are 0-indexed.
     """
     edges = list(edges)
-    pairs = np.array([(a, b) for a, b, _ in edges], dtype=np.intp).reshape(-1, 2)
+    try:
+        pairs = np.array([(a, b) for a, b, _ in edges], dtype=np.intp).reshape(-1, 2)
+    except OverflowError:
+        raise IndexOutOfRange(f"a vertex id is outside 0..{min(n, _INTP_END) - 1}") from None
     return _assemble(n, pairs[:, 0].copy(), pairs[:, 1].copy(),
                      *_encode([x for _, _, x in edges]))
 

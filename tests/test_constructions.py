@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import inspect
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from gainforge.constructions import (
     renes,
     toral,
 )
-from gainforge.cyclotomic import root_sum_is_zero
 from gainforge.errors import (
     BadParam,
     Disconnected,
@@ -113,30 +111,20 @@ def test_make_weighing_rejects_entries_that_are_not_gains():
 
 def _reference_weight(entries):
     """The weighing check entry by entry, in row-major order: ("weight", k),
-    ("weights", the differing weights) or ("off", i, j)."""
+    ("weights", the differing weights) or ("off", i, j).  Every entry of WW* - kI
+    is decided from its numeric sum, to 1e-9; see square_arrays for why that is
+    exact on the arrays drawn there."""
     n = len(entries)
     weights = {sum(e is not None for e in row) for row in entries}
     weights |= {sum(entries[i][j] is not None for i in range(n)) for j in range(n)}
     if len(weights) != 1:
         return ("weights", sorted(weights))
     k = weights.pop()
-    exact = all(e.is_exact for row in entries for e in row if e is not None)
     for i in range(n):
         for j in range(n):
-            terms = [(a, b) for a, b in zip(entries[i], entries[j])
-                     if a is not None and b is not None]
-            if exact:
-                counts = {}
-                for a, b in terms:
-                    turn = (a.angle - b.angle) % 1
-                    counts[turn] = counts.get(turn, 0) + 1
-                if i == j:
-                    counts[Fraction(0)] = counts.get(Fraction(0), 0) - k
-                off = not root_sum_is_zero(counts)
-            else:
-                s = sum(a.value * b.value.conjugate() for a, b in terms)
-                off = abs(s - (k if i == j else 0.0)) > 1e-9
-            if off:
+            s = sum(a.value * b.value.conjugate() for a, b in zip(entries[i], entries[j])
+                    if a is not None and b is not None)
+            if abs(s - (k if i == j else 0.0)) > 1e-9:
                 return ("off", i, j)
     return ("weight", k)
 
@@ -145,6 +133,15 @@ ORDER_24 = st.builds(Gain.exact, st.integers(0, 23), st.sampled_from([1, 2, 3, 4
 ENTRY = st.one_of(st.none(), ORDER_24)
 
 
+# The reference decides an exact array's WW* numerically, and on these arrays that
+# is exact.  The diagonal of WW* - kI is 0.  Off it, an entry is a sum of at most
+# six roots of unity.  When their orders divide 24 it lies in Z[zeta_24]; if it is
+# nonzero its norm, the product of its 8 conjugates, is a nonzero integer, and the
+# 6 conjugates other than it and its complex conjugate have modulus at most 6, so
+# |sum| >= 6**-3.  A Fourier array of order 5 has WW* = 5I, and with one entry
+# replaced each entry of WW* that changes is u(1 - w) for roots of unity u and w of
+# order dividing 120, so |sum| >= 2 sin(pi/120) if it is nonzero.  Rounding moves
+# a sum by under 1e-14.
 @st.composite
 def square_arrays(draw):
     """Square arrays of order <= 6: random ones, random gains on a circulant
@@ -209,6 +206,11 @@ def test_weighing_check_is_exact_at_a_large_order():
     assert _reference_weight(rows) == ("off", 0, 2)
     with pytest.raises(NotAWeighingMatrix, match=r"\(WW\*\)\[0\]\[2\] is off"):
         make_weighing(rows)
+
+
+def test_weighing_check_at_an_order_with_a_large_prime():
+    W = named_weighing("Z", Gain.exact(1, 4999))       # WW* sums roots of order 9998
+    assert W.weight == 5 and W.is_exact
 
 
 def test_weighing_check_is_cheap_when_only_the_whole_array_has_a_large_order():

@@ -100,6 +100,9 @@ def test_gaingraph_rejects_non_unit_numeric_gain():
     ("e 0 1 rot 0/1\ne 1 2 rot 0/1\ne 0 1 rot 1/2\n", DuplicateEdge,
      "line 5: edge (0, 1) given twice"),
     ("e 0 1 rot 0/1\ne 1 2 num 2 0\n", NonUnitGain, "line 4: |z| = 2.0 is not 1"),
+    ("e 0 1 num 1.7e308 1.7e308\n", NonUnitGain, "line 3: |z| = inf is not 1"),
+    ("e 0 1 rot 0/1\ne 0 99999999999999999999 rot 0/1\n", IndexOutOfRange,
+     "line 4: edge (0, 99999999999999999999) outside 0..2"),
     # the first edge line at fault is named, whatever follows it
     ("e 1 2 rot 0/1\ne 1 2 rot 0/1\ne 0 7 rot 0/1\n", DuplicateEdge, "line 4:"),
 ])
@@ -253,8 +256,12 @@ def _reference_parse(text):
                 z = complex(float(tok[4]), float(tok[5]))
             except ValueError:
                 raise ParseError(lineno, "bad numeric gain components") from None
-            if not abs(abs(z) - 1.0) <= 1e-9:
-                raise NonUnitGain(f"line {lineno}: |z| = {abs(z)!r} is not 1 within 1e-09")
+            try:
+                r = abs(z)
+            except OverflowError:
+                r = math.inf
+            if not abs(r - 1.0) <= 1e-9:
+                raise NonUnitGain(f"line {lineno}: |z| = {r!r} is not 1 within 1e-09")
             rotations.append(None)
             values.append(z)
         else:
@@ -264,13 +271,14 @@ def _reference_parse(text):
         vs.append(v)
     k, L = _exponents(rotations)
     z = _exact_values(k, np.array(values, dtype=complex), L, k >= 0)
-    u, v = np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp)
-    first = {}
+    # a vertex id must also fit the intp arrays
+    end, first = min(n, int(np.iinfo(np.intp).max) + 1), {}
     for lineno, e in zip(linenos, zip(us, vs)):
-        if not (0 <= e[0] and e[1] < n):
-            raise IndexOutOfRange(f"line {lineno}: edge {e} outside 0..{n - 1}")
+        if not (0 <= e[0] and e[1] < end):
+            raise IndexOutOfRange(f"line {lineno}: edge {e} outside 0..{end - 1}")
         if first.setdefault(e, lineno) != lineno:
             raise DuplicateEdge(f"line {lineno}: edge {e} given twice")
+    u, v = np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp)
     order = sorted(range(len(us)), key=lambda i: (us[i], vs[i]))
     return n, u[order], v[order], k[order], z[order], L
 

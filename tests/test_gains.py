@@ -70,6 +70,8 @@ def test_exact_negative_rotation_wraps():
 def test_numeric_gain_must_be_unit():
     with pytest.raises(NonUnitGain):
         Gain.numeric(0.5 + 0.1j)
+    with pytest.raises(NonUnitGain, match=r"\|z\| = inf"):     # abs(z) overflows
+        Gain.numeric(complex(1.7e308, 1.7e308))
     # on the circle it is fine
     z = complex(math.cos(0.3), math.sin(0.3))
     assert Gain.numeric(z).value == z
@@ -151,6 +153,8 @@ def test_build_rejects_bad_index():
         build(3, [(0, 5, ONE)])
     with pytest.raises(IndexOutOfRange):
         build(2 ** 70, [(-1, 2, ONE)])
+    with pytest.raises(IndexOutOfRange):        # past intp
+        build(3, [(0, 2 ** 70, ONE)])
 
 
 def test_build_orders_edges_past_the_int64_range_of_u_times_n():
