@@ -120,8 +120,8 @@ def parse_gaingraph(text: str) -> GainGraph:
         n = int(rows[1][1][1])
     except ValueError:
         raise ParseError(rows[1][0], f"bad vertex count {rows[1][1][1]!r}") from None
-    if n < 0:
-        raise ParseError(rows[1][0], "vertex count must be nonnegative")
+    if not 0 <= n < _INTP_END:
+        raise ParseError(rows[1][0], f"vertex count must be nonnegative and below {_INTP_END}")
 
     # the edge lines as columns: each distinct vertex token and gain token group is
     # converted once, and if any line breaks _edge's rule, _edge runs over the lines so
@@ -149,11 +149,11 @@ def parse_gaingraph(text: str) -> GainGraph:
         return _assemble(n, u, v, k[at], z[at], L)
     except (IndexOutOfRange, DuplicateEdge, OverflowError):
         # a valid file never gets here: name the first edge line at fault
-        first, end = {}, min(n, _INTP_END)
+        first = {}
         u, v = np.array(order, dtype=object)[ranks].reshape(2, -1)
         for (lineno, _), e in zip(lines, zip(u.tolist(), v.tolist())):
-            if not (0 <= e[0] and e[1] < end):
-                raise IndexOutOfRange(f"line {lineno}: edge {e} outside 0..{end - 1}") from None
+            if not (0 <= e[0] and e[1] < n):
+                raise IndexOutOfRange(f"line {lineno}: edge {e} outside 0..{n - 1}") from None
             if first.setdefault(e, lineno) != lineno:
                 raise DuplicateEdge(f"line {lineno}: edge {e} given twice") from None
         raise

@@ -284,8 +284,8 @@ class GainGraph:
 
     def _fill(self, n: int, u: np.ndarray, v: np.ndarray, k: np.ndarray, z: np.ndarray,
               L: int) -> None:
-        if n < 0:
-            raise IndexOutOfRange(f"vertex count must be non-negative, got {n}")
+        if not 0 <= n < _INTP_END:      # vertex ids index intp arrays
+            raise IndexOutOfRange(f"vertex count must be in 0..{_INTP_END - 1}, got {n}")
         for a in (u, v, k, z):
             a.setflags(write=False)
         for name, value in zip(self.__slots__, (n, u, v, k, z, L, None)):

@@ -15,6 +15,7 @@ subsets weighs each subset as one component, by one rule for edges and cycles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -28,7 +29,7 @@ from .errors import (
     NoConvergence,
     TooLarge,
 )
-from .gains import GainGraph, _bits, is_connected
+from .gains import GainGraph, is_connected
 
 
 @dataclass
@@ -71,7 +72,12 @@ def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
 
 
 def eigenvalues(g: GainGraph, cluster_tol: float = 1e-8) -> Spectrum:
-    """Real spectrum of the gain matrix, sorted descending."""
+    """Real spectrum of the gain matrix, sorted descending.
+
+    Raises ValueError unless 0 <= cluster_tol < inf.
+    """
+    if not 0 <= cluster_tol < math.inf:     # NaN fails it
+        raise ValueError(f"cluster_tol must be finite and non-negative, got {cluster_tol}")
     if g.n == 0:
         raise EmptyGraph("no vertices")
     return _spectrum(g.matrix(), cluster_tol)
@@ -140,11 +146,57 @@ def predicted_thetas(n: int, m: int, k: int) -> tuple[float, float]:
 # det(xI - A) = sum_i c_i x^(n-i) where c_i collects every subgraph H on i
 # vertices whose components are single edges or cycles, weighted by
 # (-1)^(#components) * 2^(#cycles) * prod_cycles Re(gain) (Harary 1962).
-# Tables over vertex subsets (bitmasks), after Held and Karp (1962): paths[S][u]
-# sums the gain products of the paths from min(S) to u through exactly S; minus
-# their sum closed at min(S) weighs S as one component, -|gain|^2 = -1 for an
-# edge and -2 Re(gain) for a cycle walked both ways.  covers[mask] splits off
-# the component through the lowest vertex of mask.
+# Tables over vertex subsets (bitmasks), after Held and Karp (1962), filled one
+# popcount layer at a time by array operations; each layer reads smaller ones
+# only.  paths[S][u] sums the gain products of the paths from min(S) to u
+# through exactly S.  One matrix product paths[S] @ A per layer extends them
+# all by an edge: its entry at w > min(S) outside S is paths[S | w][w], which
+# has no other source, so one gather fills the next layer; minus the real part
+# of its entry at min(S) weighs S as one component, -|gain|^2 = -1 for an edge
+# and -2 Re(gain) for a cycle walked both ways.  covers[mask] splits off the
+# component through the lowest vertex of mask: it sums weight[sub | low] *
+# covers[rest ^ sub] over the nonempty submasks sub of the rest, one gather per
+# layer, in decreasing order of sub, and c_i sums covers over the masks on i
+# vertices in increasing order; cumsum adds each sum in that order.
+
+@functools.lru_cache(maxsize=13)
+def _layers(n: int) -> list[tuple]:
+    """The index tables of char_poly_elementary on n vertices, one per layer.
+
+    Tables have a row per subset, by popcount layer and then by increasing
+    mask.  Layer r = 2..n is rows a:b, and its read-only index arrays are:
+    into and source, flat indices into a (2^n, n) table, that fill its paths
+    from the products of layer r - 1; closed, the flat index of each row's
+    (S, min(S)); and sets and rests, (rows, 2^(r-1) - 1) arrays that hold
+    the rows of sub | low and of rest ^ sub.
+    """
+    masks = np.arange(1 << n)
+    member = (masks[:, None] >> np.arange(n) & 1).astype(bool)
+    order = np.argsort(member.sum(axis=1), kind="stable")      # the mask of each row
+    row = np.empty_like(order)
+    row[order] = masks
+    low = np.searchsorted(1 << np.arange(n), masks & -masks)   # min(S); 0 for S empty
+    layers = []
+    a = n + 1                   # after the empty set and the lone vertices
+    for r in range(2, n + 1):
+        b = a + math.comb(n, r)
+        S = order[a:b]
+        # (S, w) for each w in S but min(S); its one source is (S without w, w)
+        at, w = np.nonzero(member[S] & (np.arange(n) != low[S, None]))
+        lowbit = 1 << low[S]
+        rest = S ^ lowbit
+        place = np.nonzero(member[rest])[1].reshape(len(S), r - 1)
+        # the nonempty submasks of rest in decreasing order, as j descends
+        j = np.arange((1 << r - 1) - 1, 0, -1)
+        sub = (1 << place) @ (j[:, None] >> np.arange(r - 1) & 1).T
+        layers.append((a, b, (a + at) * n + w, row[S[at] ^ 1 << w] * n + w,
+                       np.arange(a, b) * n + low[S], row[sub | lowbit[:, None]],
+                       row[rest[:, None] ^ sub]))
+        for x in layers[-1][2:]:
+            x.setflags(write=False)
+        a = b
+    return layers
+
 
 def char_poly_elementary(g: GainGraph) -> list[float]:
     """Coefficients [c_0, ..., c_n] of det(xI - A), c_0 = 1.
@@ -156,36 +208,23 @@ def char_poly_elementary(g: GainGraph) -> list[float]:
     n = g.n
     if n > 12:
         raise TooLarge(f"n = {n} exceeds the enumeration limit 12")
-    A = g.matrix().tolist()
-    adj = [sum(1 << w for w, a in enumerate(row) if a) for row in A]
-    paths = [[0j] * n for _ in range(1 << n)]
-    for v in range(n):
-        paths[1 << v][v] = 1 + 0j
-    # every entry reads smaller masks only, so increasing order has them ready
-    weight = [0.0] * (1 << n)
-    for S in range(1, 1 << n):
-        v = (S & -S).bit_length() - 1
-        closed = 0j
-        for u in _bits(S):
-            p = paths[S][u]
-            if p:
-                closed += p * A[u][v]
-                for w in _bits((adj[u] & ~S) >> v << v):    # w > v outside S
-                    paths[S | 1 << w][w] += p * A[u][w]
-        weight[S] = -closed.real
-    covers = [1.0] + [0.0] * ((1 << n) - 1)
-    coeffs = [1.0] + [0.0] * n
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        rest = sub = mask ^ low
-        total = 0.0
-        while sub:          # a lone vertex weighs 0, so sub = 0 adds nothing
-            total += weight[sub | low] * covers[rest ^ sub]
-            sub = (sub - 1) & rest
-        covers[mask] = total
-        if total:
-            coeffs[mask.bit_count()] += total
-    return coeffs
+    layers = _layers(n)
+    A = g.matrix()
+    table = np.zeros((1 << n, n), dtype=complex)
+    table[1:n + 1] = A                  # the path of one vertex, times A
+    flat = table.ravel()
+    weight = np.zeros(1 << n)           # a lone vertex weighs 0
+    covers = np.zeros(1 << n)
+    covers[0] = 1.0
+    coeffs = np.zeros(n + 1)
+    coeffs[0] = 1.0
+    for r, (a, b, into, source, closed, sets, rests) in enumerate(layers, start=2):
+        flat[into] = flat[source]
+        table[a:b] = table[a:b] @ A
+        weight[a:b] = -flat[closed].real
+        covers[a:b] = (weight[sets] * covers[rests]).cumsum(axis=1)[:, -1]
+        coeffs[r] = covers[a:b].cumsum()[-1]
+    return (coeffs + 0.0).tolist()      # a zero is +0.0, as a sum of nonzero terms is
 
 
 def char_poly_from_eigenvalues(evs: list[float]) -> list[float]:

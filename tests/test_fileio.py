@@ -62,6 +62,7 @@ def test_gaingraph_comments_and_blank_lines_are_ignored():
     ("gaingraph v1\nm 4\n", "n <N>"),
     ("gaingraph v1\nn four\n", "vertex count"),
     ("gaingraph v1\nn -2\n", "nonnegative"),
+    ("gaingraph v1\nn 9223372036854775808\n", "below 9223372036854775808"),
     ("gaingraph v1\nn 3\nx 0 1 rot 0/1\n", "edge line"),
     ("gaingraph v1\nn 3\ne 0 1\n", "too short"),
     ("gaingraph v1\nn 3\ne a b rot 0/1\n", "integers"),
@@ -82,6 +83,17 @@ def test_parse_error_carries_the_line_number():
     with pytest.raises(ParseError) as err:
         parse_gaingraph(text)
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize("n", [-1, 2 ** 63, 99999999999999999999])
+def test_a_vertex_count_outside_intp_is_refused_at_its_line(n):
+    # past intp the graph's arrays could not be built or indexed
+    text = f"# a graph\ngaingraph v1\nn {n}\ne 0 1 rot 0/1\n"
+    for parse in (parse_gaingraph, _reference_parse):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == 3
+    assert parse_gaingraph(f"gaingraph v1\nn {2 ** 63 - 1}\ne 0 1 rot 0/1\n").n == 2 ** 63 - 1
 
 
 def test_gaingraph_rejects_self_loops():
@@ -221,8 +233,9 @@ def _reference_parse(text):
         n = int(rows[1][1][1])
     except ValueError:
         raise ParseError(rows[1][0], f"bad vertex count {rows[1][1][1]!r}") from None
-    if n < 0:
-        raise ParseError(rows[1][0], "vertex count must be nonnegative")
+    end = int(np.iinfo(np.intp).max) + 1    # a vertex count must also fit the intp arrays
+    if not 0 <= n < end:
+        raise ParseError(rows[1][0], f"vertex count must be nonnegative and below {end}")
     linenos, us, vs, rotations, values = [], [], [], [], []
     for lineno, tok in rows[2:]:
         if tok[0] != "e":
@@ -271,11 +284,10 @@ def _reference_parse(text):
         vs.append(v)
     k, L = _exponents(rotations)
     z = _exact_values(k, np.array(values, dtype=complex), L, k >= 0)
-    # a vertex id must also fit the intp arrays
-    end, first = min(n, int(np.iinfo(np.intp).max) + 1), {}
+    first = {}
     for lineno, e in zip(linenos, zip(us, vs)):
-        if not (0 <= e[0] and e[1] < end):
-            raise IndexOutOfRange(f"line {lineno}: edge {e} outside 0..{end - 1}")
+        if not (0 <= e[0] and e[1] < n):
+            raise IndexOutOfRange(f"line {lineno}: edge {e} outside 0..{n - 1}")
         if first.setdefault(e, lineno) != lineno:
             raise DuplicateEdge(f"line {lineno}: edge {e} given twice")
     u, v = np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp)

@@ -274,6 +274,15 @@ def test_a_negative_vertex_count_is_refused(make):
         make()
 
 
+@pytest.mark.parametrize("make", [lambda: build(2 ** 63, []), lambda: build(2 ** 70, [(0, 1, ONE)]),
+                                  lambda: GainGraph(2 ** 63)], ids=["build", "build-edge", "GainGraph"])
+def test_a_vertex_count_past_intp_is_refused(make):
+    # such a graph's degrees() and matrix() would fail with bare numpy errors
+    with pytest.raises(IndexOutOfRange, match="vertex count"):
+        make()
+    assert build(2 ** 63 - 1, [(0, 1, ONE)]).n == 2 ** 63 - 1
+
+
 @pytest.mark.parametrize("g", [
     c4(I_G),
     build(3, [(0, 1, Gain.numeric(complex(0.6, -0.8))), (2, 1, Gain.exact(1, 3))]),

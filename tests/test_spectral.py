@@ -18,7 +18,7 @@ from gainforge.constructions import (
     named_weighing,
 )
 from gainforge.errors import EmptyGraph, InvalidParameters, TooLarge
-from gainforge.gains import Gain, build, switch
+from gainforge.gains import Gain, _bits, build, switch
 from gainforge.spectral import (
     _cluster,
     certify_two_ev,
@@ -73,6 +73,16 @@ def test_k3_spectrum_clusters():
 def test_empty_graph_rejected():
     with pytest.raises(EmptyGraph):
         eigenvalues(build(0, []))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_eigenvalues_rejects_a_cluster_tolerance_that_is_not_finite_and_non_negative(tol):
+    # on K4 a NaN or negative tolerance would split the triple -1 into three
+    # clusters, and an infinite one would merge all four eigenvalues
+    with pytest.raises(ValueError, match="cluster_tol must be"):
+        eigenvalues(complete(4), cluster_tol=tol)
+    assert [m for _, m in eigenvalues(complete(4)).clusters] == [1, 3]
+    assert eigenvalues(complete(4), cluster_tol=0.0).cluster_tol == 0.0
 
 
 # -- certification --------------------------------------------------------------
@@ -172,6 +182,41 @@ def test_certify_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
 
 # -- characteristic polynomial, two independent routes -----------------------------
 
+def _reference_char_poly(g):
+    """char_poly_elementary as one Python step per subset: the path table, then the covers."""
+    n = g.n
+    A = g.matrix().tolist()
+    adj = [sum(1 << w for w, a in enumerate(row) if a) for row in A]
+    paths = [[0j] * n for _ in range(1 << n)]
+    for v in range(n):
+        paths[1 << v][v] = 1 + 0j
+    # every entry reads smaller masks only, so increasing order has them ready
+    weight = [0.0] * (1 << n)
+    for S in range(1, 1 << n):
+        v = (S & -S).bit_length() - 1
+        closed = 0j
+        for u in _bits(S):
+            p = paths[S][u]
+            if p:
+                closed += p * A[u][v]
+                for w in _bits((adj[u] & ~S) >> v << v):    # w > v outside S
+                    paths[S | 1 << w][w] += p * A[u][w]
+        weight[S] = -closed.real
+    covers = [1.0] + [0.0] * ((1 << n) - 1)
+    coeffs = [1.0] + [0.0] * n
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = sub = mask ^ low
+        total = 0.0
+        while sub:          # a lone vertex weighs 0, so sub = 0 adds nothing
+            total += weight[sub | low] * covers[rest ^ sub]
+            sub = (sub - 1) & rest
+        covers[mask] = total
+        if total:
+            coeffs[mask.bit_count()] += total
+    return coeffs
+
+
 def test_char_poly_k3_by_subgraph_expansion():
     # one triangle with gain 1: x^3 - 3x - 2
     coeffs = char_poly_elementary(complete(3))
@@ -230,6 +275,39 @@ def test_char_poly_routes_agree_on_connected_graphs(data, kind):
     a = np.asarray(char_poly_elementary(g))
     b = np.asarray(char_poly_from_eigenvalues(eigenvalues(g).eigenvalues))
     assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(1.0, np.abs(b)))
+
+
+_quarter_unit = st.builds(Gain.exact, st.integers(0, 3), st.just(4))    # 1, i, -1, -i
+
+
+@st.composite
+def _gain_graphs(draw, units):
+    """Any graph on at most 10 vertices, edgeless and disconnected ones included."""
+    n = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build(n, [(u, v, draw(units)) for u, v in edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_units) + ["quarter"]))
+def test_char_poly_matches_the_subset_loop(data, kind):
+    g = data.draw(_gain_graphs(_quarter_unit if kind == "quarter" else _units[kind]))
+    got, want = char_poly_elementary(g), _reference_char_poly(g)
+    if kind == "quarter":   # Gaussian integers: every sum and product is exact
+        assert got == want
+    a, b = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
+
+
+def test_char_poly_of_small_orders():
+    assert char_poly_elementary(build(1, [])) == [1.0, 0.0]
+    edgeless = char_poly_elementary(build(5, []))
+    assert edgeless == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert all(math.copysign(1.0, c) == 1.0 for c in edgeless)     # no -0.0
+    triangles = [(t + a, t + b, ONE) for t in (0, 3) for a, b in ((0, 1), (1, 2), (0, 2))]
+    # (x^3 - 3x - 2)^2
+    assert char_poly_elementary(build(6, triangles)) == [1, 0, -6, -4, 9, 12, 4]
 
 
 def test_char_poly_of_complete_graphs_is_exact():
